@@ -226,13 +226,6 @@ def _cmd_check(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
 
-    # dark-mode census and the coherent efficiency ceiling
-    h_sys = lattice.build_hamiltonian(net, lam0, include_sink=False)
-    diag = analysis.dark_state_diagnostics(h_sys, net.target_site, net.input_site,
-                                           threshold=num.dark_overlap_threshold)
-    report("dark-state diagnostics", diag.n_dark >= 0,
-           f"{diag.n_dark} dark mode(s), coherent ceiling {diag.efficiency_bound:.6f}")
-
     # sink chain long enough for the configured run length
     if net.sink is not None:
         rep = propagate.sink_no_return_check(net, config.experiment.z_cm,
@@ -278,6 +271,31 @@ def _cmd_check(args) -> int:
     trace = propagate.evolve_unitary(h2, propagate.AmplitudeState.site(2, 0), [z])
     err = abs(trace.populations[-1, 1] - calibration.pair_transfer(c, dbeta, z))
     report("pair-transfer oracle", err < 1e-10, f"|mismatch| {err:.2e}")
+
+    # dark-mode census: the coherent ceiling must be where trapping saturates.
+    # Runs last: scipy's expm wakes scipy's own OpenBLAS threads, which then
+    # spin for ~0.1 s and slow numpy's eigh in the ensemble check on 2 cores.
+    h_sys = lattice.build_hamiltonian(net, lam0, include_sink=False)
+    diag = analysis.dark_state_diagnostics(h_sys, net.target_site, net.input_site,
+                                           threshold=num.dark_overlap_threshold)
+    census = f"{diag.n_dark} dark mode(s), coherent ceiling {diag.efficiency_bound:.6f}"
+    if net.sink is None:
+        print(f"[skip] dark-state diagnostics: network has no sink ({census})")
+    else:
+        kappa = analysis.effective_kappa(net)
+        h_eff = h_sys.entries.astype(complex)
+        h_eff[net.target_site, net.target_site] -= 0.5j * kappa
+        # slowest bright-mode population decay; rates this far below kappa
+        # are a dark mode's rounding
+        rates = -2.0 * np.linalg.eigvals(h_eff).imag
+        z_long = 50.0 / rates[rates > 1e-9 * kappa].min()
+        psi0 = propagate.AmplitudeState.site(net.n_sites, net.input_site)
+        trapped = float(propagate.evolve_trapped(h_sys, kappa, net.target_site, psi0,
+                                                 [z_long]).sink_population[-1])
+        gap = abs(trapped - diag.efficiency_bound)
+        report("dark-state diagnostics", gap < 1e-6,
+               f"{census} vs trapped fraction {trapped:.6f} at z = {z_long:.4g} cm "
+               f"(|gap| {gap:.1e})")
 
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -52,7 +53,6 @@ class OutputConfig:
 @dataclass(frozen=True)
 class NumericsConfig:
     ensemble_nodes: int = 41
-    lindblad_step_tolerance: float = 1e-9
     dark_overlap_threshold: float = 1e-12
     no_return_threshold: float = 1e-3
     sensitivity_fraction: float = 0.1
@@ -120,7 +120,6 @@ def default_config_dict() -> Dict:
         "output": {"directory": "runs"},
         "numerics": {
             "ensemble_nodes": 41,
-            "lindblad_step_tolerance": 1e-9,
             "dark_overlap_threshold": 1e-12,
             "no_return_threshold": 1e-3,
             "sensitivity_fraction": 0.1,
@@ -323,13 +322,20 @@ def config_from_dict(raw: Dict) -> RunConfig:
         raise ConfigError("config.network", "missing required key")
     defaults = default_config_dict()
     spectrum_block = raw.get("spectrum", defaults["spectrum"])
+    numerics_block = raw.get("numerics", {})
+    if isinstance(numerics_block, dict) and "lindblad_step_tolerance" in numerics_block:
+        # retired knob, still accepted so that configs echoed in old manifests parse
+        warnings.warn("numerics.lindblad_step_tolerance has no effect and is ignored",
+                      FutureWarning, stacklevel=2)
+        numerics_block = {k: v for k, v in numerics_block.items()
+                          if k != "lindblad_step_tolerance"}
     return RunConfig(
         network=_parse_network(raw["network"]),
         spectrum=_parse_spectrum(spectrum_block),
         experiment=_parse_simple(raw.get("experiment", {}), ExperimentConfig,
                                  "experiment"),
         output=_parse_simple(raw.get("output", {}), OutputConfig, "output"),
-        numerics=_parse_simple(raw.get("numerics", {}), NumericsConfig, "numerics"),
+        numerics=_parse_simple(numerics_block, NumericsConfig, "numerics"),
     )
 
 

@@ -19,7 +19,7 @@ from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
 
 
 class NumericalError(RuntimeError):
-    """Raised when an integrator or decomposition cannot meet its tolerance."""
+    """Raised when a decomposition fails or an engine's output is not physical."""
 
 
 @dataclass(frozen=True)
@@ -113,21 +113,25 @@ def _as_zgrid(z_grid) -> np.ndarray:
     return zs
 
 
-def _check_normalized(amps: np.ndarray):
+def _initial_amplitudes(psi0, dim: int) -> np.ndarray:
+    amps = _as_amplitudes(psi0)
+    if amps.shape[0] != dim:
+        raise ValueError(f"state dimension {amps.shape[0]} != Hamiltonian {dim}")
     n2 = float(np.vdot(amps, amps).real)
     if abs(n2 - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, squared norm is {n2}")
+    return amps
 
 
-def _trace_from_amplitudes(h: HamiltonianMatrix, zs: np.ndarray,
-                           amps_z: np.ndarray) -> EvolutionTrace:
-    pops_all = np.abs(amps_z) ** 2
-    system = pops_all[:, : h.n_system]
+def _trace(h: HamiltonianMatrix, zs: np.ndarray, pops: np.ndarray,
+           densities: Optional[np.ndarray] = None) -> EvolutionTrace:
+    system = pops[:, : h.n_system]
     return EvolutionTrace(
         z_grid=zs,
         populations=system,
         sink_population=1.0 - system.sum(axis=1),
         n_system=h.n_system,
+        densities=densities,
     )
 
 
@@ -139,10 +143,7 @@ def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     the light accumulated in the sink guides.
     """
     zs = _as_zgrid(z_grid)
-    amps = _as_amplitudes(psi0)
-    if amps.shape[0] != h.dimension:
-        raise ValueError(f"state dimension {amps.shape[0]} != Hamiltonian {h.dimension}")
-    _check_normalized(amps)
+    amps = _initial_amplitudes(psi0, h.dimension)
     try:
         energies, modes = np.linalg.eigh(h.entries)
     except np.linalg.LinAlgError as exc:
@@ -150,63 +151,78 @@ def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     coeffs = modes.conj().T @ amps
     phases = np.exp(-1j * np.outer(zs, energies))
     amps_z = (modes @ (phases * coeffs).T).T
-    return _trace_from_amplitudes(h, zs, amps_z)
+    return _trace(h, zs, np.abs(amps_z) ** 2)
+
+
+def _propagate(gen: np.ndarray, v0: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Rows v(z) = exp(gen z) v0 for each z of a non-decreasing grid from
+    z >= 0, stepping with exp(gen dz) computed once per distinct step dz."""
+    out = np.empty((zs.size, v0.size), dtype=complex)
+    steps = {}
+    v = np.asarray(v0, dtype=complex)
+    z_prev = 0.0
+    for k, z in enumerate(zs):
+        dz = float(z - z_prev)
+        if dz:
+            if dz not in steps:
+                steps[dz] = scipy.linalg.expm(gen * dz)
+            v = steps[dz] @ v
+        out[k] = v
+        z_prev = z
+    return out
 
 
 def evolve_trapped(h: HamiltonianMatrix, kappa: float, target: int,
                    psi0, z_grid) -> EvolutionTrace:
     """Irreversible trapping at rate kappa on the target site.
 
-    Evolves under H - i(kappa/2)|t><t| with a scaling-and-squaring Pade
-    matrix exponential at every grid point, so accuracy is uniform in z
-    rather than accumulated step by step.  The population decay rate of an
-    isolated trapped site is exactly kappa.
+    Evolves under H - i(kappa/2)|t><t| by stepping the exact propagator
+    exp(-i H_eff dz), computed once per distinct grid step.  The population
+    decay rate of an isolated trapped site is exactly kappa.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
-    zs = _as_zgrid(z_grid)
-    amps = _as_amplitudes(psi0)
-    if amps.shape[0] != h.dimension:
-        raise ValueError(f"state dimension {amps.shape[0]} != Hamiltonian {h.dimension}")
     if not 0 <= target < h.dimension:
         raise ValueError(f"target {target} out of range")
-    _check_normalized(amps)
+    zs = _as_zgrid(z_grid)
+    amps = _initial_amplitudes(psi0, h.dimension)
     h_eff = h.entries.astype(complex).copy()
     h_eff[target, target] -= 0.5j * kappa
-    amps_z = np.empty((zs.size, h.dimension), dtype=complex)
-    for k, z in enumerate(zs):
-        amps_z[k] = scipy.linalg.expm(-1j * h_eff * z) @ amps
-    return _trace_from_amplitudes(h, zs, amps_z)
+    return _trace(h, zs, np.abs(_propagate(-1j * h_eff, amps, zs)) ** 2)
 
 
-def _dephasing_mask(dim: int, site: int, uniform: bool) -> np.ndarray:
-    mask = np.zeros((dim, dim))
-    if uniform:
-        mask[:, :] = 1.0
-    else:
-        mask[site, :] = 1.0
-        mask[:, site] = 1.0
-    np.fill_diagonal(mask, 0.0)
-    return mask
+def _check_density_stack(rhos: np.ndarray) -> None:
+    """Raise NumericalError on trace growth (step to step or above 1) or a
+    negative eigenvalue beyond 1e-9, or a Hermiticity error beyond 1e-10."""
+    traces = np.real(np.einsum("zii->z", rhos))
+    growth = max(float(np.max(np.diff(traces), initial=0.0)), float(traces.max()) - 1.0)
+    if growth > 1e-9:
+        raise NumericalError(f"density trace grows by {growth:.3e}")
+    herm = float(np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2)))))
+    if herm > 1e-10:
+        raise NumericalError(f"density matrix is not Hermitian (error {herm:.3e})")
+    min_eig = float(np.linalg.eigvalsh(rhos).min())
+    if min_eig < -1e-9:
+        raise NumericalError(f"density matrix has eigenvalue {min_eig:.3e}")
 
 
 def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
                     dephasing_rate: float, dephasing_site: int,
                     rho0, z_grid,
-                    uniform_dephasing: bool = False,
-                    step_tolerance: float = 1e-9) -> EvolutionTrace:
+                    uniform_dephasing: bool = False) -> EvolutionTrace:
     """Master equation with trapping and pure dephasing.
 
-    Integrates drho/dz = -i[H, rho] - (kappa/2){|t><t|, rho} + gamma D(rho)
+    Solves drho/dz = -i[H, rho] - (kappa/2){|t><t|, rho} + gamma D(rho)
     where D damps exactly the coherences between ``dephasing_site`` and
     every other site at rate gamma (coherence decay rate gamma, not
     gamma/2; this matches quantifying decoherence through the decay of the
     interference envelope).  Site-uniform dephasing is available behind
     ``uniform_dephasing`` for exploration.
 
-    Integrator: classical fourth-order Runge-Kutta with step doubling; a
-    step is accepted when the full-step and two-half-step results agree to
-    ``step_tolerance`` entrywise.
+    Exact for this z-independent generator: the row-major Liouvillian
+    -i(H x I - I x H^T) - (kappa/2)(P x I + I x P) - gamma diag(mask) is
+    exponentiated once per distinct grid step.  Unphysical output (trace
+    growth, a negative eigenvalue, lost Hermiticity) raises NumericalError.
 
     Parameters
     ----------
@@ -218,14 +234,14 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
     rho0 : DensityState, matrix, or amplitude vector
         Initial state; vectors are promoted to pure densities.
     z_grid : array
-        Output grid; the integrator lands on every point exactly.
+        Output grid, non-decreasing from z >= 0.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
     if dephasing_rate < 0:
         raise ValueError(f"dephasing rate must be non-negative, got {dephasing_rate}")
     zs = _as_zgrid(z_grid)
-    rho = _as_density(rho0).copy()
+    rho = _as_density(rho0)
     dim = h.dimension
     if rho.shape != (dim, dim):
         raise ValueError(f"density shape {rho.shape} != Hamiltonian dimension {dim}")
@@ -233,67 +249,19 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
         raise ValueError("target or dephasing site out of range")
 
     hmat = h.entries
-    mask = _dephasing_mask(dim, dephasing_site, uniform_dephasing)
-    kap_half = 0.5 * kappa
-    gamma = dephasing_rate
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = -1j * (hmat @ r - r @ hmat)
-        if kappa:
-            out[target, :] -= kap_half * r[target, :]
-            out[:, target] -= kap_half * r[:, target]
-        if gamma:
-            out -= gamma * (mask * r)
-        return out
-
-    def rk4(r: np.ndarray, step: float) -> np.ndarray:
-        k1 = rhs(r)
-        k2 = rhs(r + 0.5 * step * k1)
-        k3 = rhs(r + 0.5 * step * k2)
-        k4 = rhs(r + step * k3)
-        return r + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    rate_scale = np.abs(hmat).max() + kappa + gamma
-    step = 0.1 / rate_scale if rate_scale > 0 else 1.0
-
-    out_rho = np.empty((zs.size, dim, dim), dtype=complex)
-    idx = 0
-    if zs[0] == 0.0:
-        out_rho[0] = rho
-        idx = 1
-    z = 0.0
-    for j in range(idx, zs.size):
-        z_stop = zs[j]
-        while z < z_stop - 1e-13 * max(1.0, z_stop):
-            step = min(step, z_stop - z)
-            if step < 1e-14 * max(1.0, z):
-                raise NumericalError(
-                    f"step size underflow at z={z} (step={step}); the requested "
-                    f"tolerance {step_tolerance} cannot be met"
-                )
-            full = rk4(rho, step)
-            half = rk4(rk4(rho, 0.5 * step), 0.5 * step)
-            err = float(np.max(np.abs(full - half)))
-            if err <= step_tolerance:
-                rho = 0.5 * (half + half.conj().T)  # re-Hermitize, cheap insurance
-                z += step
-                growth = 5.0 if err == 0.0 else min(
-                    5.0, max(0.2, 0.9 * (step_tolerance / err) ** 0.2))
-                step *= growth
-            else:
-                step *= max(0.2, 0.9 * (step_tolerance / err) ** 0.2)
-        out_rho[j] = rho
-        z = z_stop
-
-    pops = np.real(np.einsum("zii->zi", out_rho))
-    system = pops[:, : h.n_system]
-    return EvolutionTrace(
-        z_grid=zs,
-        populations=system,
-        sink_population=1.0 - system.sum(axis=1),
-        n_system=h.n_system,
-        densities=out_rho,
-    )
+    eye = np.eye(dim)
+    proj = np.zeros((dim, dim))
+    proj[target, target] = 1.0
+    # damped coherences: dephasing site against every other, or all of them
+    mask = np.full((dim, dim), 1.0 if uniform_dephasing else 0.0)
+    mask[dephasing_site, :] = mask[:, dephasing_site] = 1.0
+    np.fill_diagonal(mask, 0.0)
+    liouvillian = (-1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
+                   - 0.5 * kappa * (np.kron(proj, eye) + np.kron(eye, proj))
+                   - dephasing_rate * np.diag(mask.ravel()))
+    out_rho = _propagate(liouvillian, rho.ravel(), zs).reshape(zs.size, dim, dim)
+    _check_density_stack(out_rho)
+    return _trace(h, zs, np.real(np.einsum("zii->zi", out_rho)), out_rho)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from enaqt import propagate
 from enaqt.cli import main
 from enaqt.config import bundled_network_path, default_config_dict
 
@@ -95,15 +96,34 @@ def test_manifest_reruns_byte_identical(tmp_path):
     assert manifest["outputs"][0]["sha256"] == m2["outputs"][0]["sha256"]
 
 
-def test_workers_flag_is_byte_stable(tmp_path):
+@pytest.mark.parametrize("command", ["sweep-wavelength", "sweep-bandwidth", "map"])
+def test_workers_flag_is_byte_stable(tmp_path, command):
     cfg = small_config(tmp_path)
+    csv_name = {"sweep-wavelength": "wavelength_sweep.csv",
+                "sweep-bandwidth": "bandwidth_sweep.csv",
+                "map": "enaqt_map.csv"}[command]
     blobs = {}
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
-        assert main(["sweep-wavelength", str(cfg), "--output-dir", str(out),
+        assert main([command, str(cfg), "--output-dir", str(out),
                      "--workers", str(workers)]) == 0
-        blobs[workers] = (out / "wavelength_sweep.csv").read_bytes()
+        blobs[workers] = (out / csv_name).read_bytes()
     assert blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("command", ["map", "sweep-bandwidth"])
+def test_unphysical_lindblad_output_exits_3_without_csv(tmp_path, monkeypatch,
+                                                        capsys, command):
+    exact = propagate._propagate
+
+    def overshooting(gen, v0, zs):  # every density carries 1 % too much trace
+        return 1.01 * exact(gen, v0, zs)
+
+    monkeypatch.setattr(propagate, "_propagate", overshooting)
+    out = tmp_path / "out"
+    assert main([command, str(small_config(tmp_path)), "--output-dir", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_map_subcommand(tmp_path):
@@ -155,6 +175,19 @@ def test_check_passes_on_bundled_network(capsys):
     assert "[PASS] decoherence strength closed form" in out
     assert "[PASS] pair-transfer oracle" in out
     assert "[FAIL]" not in out
+
+
+def test_check_dark_state_line_can_fail(tmp_path, capsys):
+    # an overlap threshold of 0.5 counts bright modes as dark: the ceiling
+    # drops to ~0 while trapping still saturates at 2/3
+    raw = default_config_dict()
+    raw["numerics"]["dark_overlap_threshold"] = 0.5
+    p = tmp_path / "loose.json"
+    p.write_text(json.dumps(raw))
+    assert main(["check", str(p)]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] dark-state diagnostics" in out
+    assert "trapped fraction 0.666667" in out
 
 
 def test_check_flags_short_sink(tmp_path, capsys):

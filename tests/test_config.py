@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -113,3 +114,20 @@ def test_wrong_types_are_rejected():
     raw["experiment"]["z_cm"] = "far"
     with pytest.raises(ConfigError, match="z_cm"):
         config_from_dict(raw)
+
+
+def test_retired_step_tolerance_warns_and_parses_unchanged():
+    # configs echoed in older manifests still carry the key
+    raw = default_config_dict()
+    raw["numerics"]["lindblad_step_tolerance"] = 1e-9
+    with pytest.warns(FutureWarning, match="lindblad_step_tolerance") as caught:
+        config = config_from_dict(raw)
+    assert len(caught) == 1
+    assert config == config_from_dict(default_config_dict())
+
+
+def test_current_config_parses_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(bundled_network_path())
+        config_from_dict(default_config_dict())

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enaqt import (AmplitudeState, DensityState, HamiltonianMatrix, SinkSpec,
                    build_hamiltonian, enaqt4_network, evolve_lindblad,
                    evolve_trapped, evolve_unitary, sink_no_return_check)
+from enaqt.propagate import NumericalError, _check_density_stack, _propagate
 from conftest import DARK_VECTOR, LAMBDA0
 
 ZS = np.arange(0.0, 15.0 + 1e-9, 0.1)
@@ -151,6 +153,56 @@ def test_lindblad_uniform_dephasing_flag(h_system, design_kappa):
     # uniform dephasing damps more coherences and is a different channel
     assert uniform.sink_population[-1] != pytest.approx(
         site_only.sink_population[-1], abs=1e-6)
+
+
+def test_propagate_matches_one_expm_per_z():
+    # a random contraction: -i(H - i L/2) with H Hermitian and loss L >= 0
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    gen = -1j * (m + m.conj().T) - 0.5 * np.diag(rng.uniform(0.0, 2.0, size=6))
+    v0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+    v0 /= np.linalg.norm(v0)
+    # non-zero start, repeated z values and uneven steps
+    zs = np.array([0.3, 0.3, 0.8, 1.3, 2.05, 4.0, 4.0, 7.5])
+    got = _propagate(gen, v0, zs)
+    want = np.array([scipy.linalg.expm(gen * z) @ v0 for z in zs])
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_lindblad_matches_liouvillian_exponential(h_system, design_kappa):
+    # independent reference: the column-major (Fortran-order) Liouvillian,
+    # exponentiated once per z
+    gamma, target, site = 0.05, 2, 3
+    h = h_system.entries
+    eye = np.eye(4)
+    proj = np.zeros((4, 4))
+    proj[target, target] = 1.0
+    damped = np.zeros((4, 4))
+    damped[site, :] = damped[:, site] = 1.0
+    damped[site, site] = 0.0
+    gen = (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
+           - 0.5 * design_kappa * (np.kron(eye, proj) + np.kron(proj, eye))
+           - gamma * np.diag(damped.ravel(order="F")))
+    rho0 = np.outer(DARK_VECTOR + np.eye(4)[0], DARK_VECTOR + np.eye(4)[0]).astype(complex)
+    rho0 /= np.trace(rho0)
+    zs = np.array([0.0, 0.7, 3.0, 15.0, 40.0])
+    trace = evolve_lindblad(h_system, design_kappa, target, gamma, site, rho0, zs)
+    want = np.array([(scipy.linalg.expm(gen * z) @ rho0.ravel(order="F"))
+                     .reshape(4, 4, order="F") for z in zs])
+    assert np.max(np.abs(trace.densities - want)) < 1e-12
+
+
+@pytest.mark.parametrize("index, value, message", [
+    ((1, 0, 0), 1.5, "trace grows"),
+    ((1, 0, 1), 0.3, "not Hermitian"),
+    (1, [[0.7, 0.6], [0.6, 0.3]], "eigenvalue"),
+])
+def test_density_stack_check_rejects_unphysical(index, value, message):
+    rhos = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.1], [0.1, 0.3]]], dtype=complex)
+    _check_density_stack(rhos)  # a physical stack passes
+    rhos[index] = value
+    with pytest.raises(NumericalError, match=message):
+        _check_density_stack(rhos)
 
 
 # ---------------------------------------------------------------------------
