@@ -19,14 +19,12 @@ def main():
     ap.add_argument("--step", type=float, default=5.0, help="nm")
     ap.add_argument("--z", type=float, default=15.0, help="cm")
     ap.add_argument("--nodes", type=int, default=41)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="bandwidth_sweep.csv")
     args = ap.parse_args()
 
     net = enaqt4_network()
     bws = np.arange(0.0, args.max_bandwidth + 1e-9, args.step)
-    result = sweep_bandwidth(net, bws, args.z, nodes=args.nodes,
-                             workers=args.workers)
+    result = sweep_bandwidth(net, bws, args.z, nodes=args.nodes)
     result.write_csv(args.out)
 
     last_ens = result.column("enaqt_ensemble")[-1]

@@ -16,7 +16,6 @@ from enaqt import enaqt4_network, enaqt_map
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--extended", action="store_true")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
@@ -29,7 +28,7 @@ def main():
         gammas = np.arange(0.0, 0.02 + 1e-9, 0.001)
         out = args.out or "enaqt_map.csv"
 
-    result = enaqt_map(enaqt4_network(), zs, gammas, workers=args.workers)
+    result = enaqt_map(enaqt4_network(), zs, gammas)
     result.write_csv(out)
 
     eta = result.column("efficiency").reshape(gammas.size, zs.size)

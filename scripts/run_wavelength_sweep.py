@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--max", type=float, default=840.0, help="nm")
     ap.add_argument("--step", type=float, default=0.5, help="nm")
     ap.add_argument("--z", type=float, default=15.0, help="cm")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="wavelength_sweep.csv")
     args = ap.parse_args()
 
@@ -31,7 +30,7 @@ def main():
             net, sink=dataclasses.replace(net.sink, n_sink=n_sink))
 
     lams = wavelength_grid(net.dispersion.lambda0_nm, args.min, args.max, args.step)
-    result = sweep_wavelength(net, lams, args.z, workers=args.workers)
+    result = sweep_wavelength(net, lams, args.z)
     result.write_csv(args.out)
 
     etas = result.column("efficiency")

@@ -4,13 +4,13 @@ Three numerical experiments are provided: a coherent wavelength sweep with
 an explicit sink (device-like), a bandwidth sweep comparing the spectral
 ensemble against a pure-dephasing master equation (the two routes to the
 same decoherence), and an efficiency/enhancement map over propagation
-length and dephasing rate.  Sweep points are independent tasks; results
-are assembled by index, so output is identical for any worker count.
+length and dephasing rate.  Every sweep runs in the calling process: on
+these 4-guide problems a process pool costs more to start than the work
+it would spread.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -207,24 +207,8 @@ def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
     return lambda0_nm + step_nm * np.arange(k_lo, k_hi + 1)
 
 
-def _pmap(fn, tasks: Sequence, workers: int) -> List:
-    """Order-preserving map, optionally across processes."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-
-
-def _wavelength_point(task) -> float:
-    net, lam, z = task
-    h = build_hamiltonian(net, lam)
-    psi0 = AmplitudeState.site(h.dimension, net.input_site)
-    trace = evolve_unitary(h, psi0, [z])
-    return float(trace.sink_population[-1])
-
-
 def sweep_wavelength(net: NetworkSpec, wavelengths_nm: Sequence[float],
-                     z_cm: float, workers: int = 1) -> SweepResult:
+                     z_cm: float) -> SweepResult:
     """Coherent transport efficiency versus illumination wavelength.
 
     One explicit-sink run per wavelength.  With dispersive detunings and
@@ -234,12 +218,13 @@ def sweep_wavelength(net: NetworkSpec, wavelengths_nm: Sequence[float],
     holds slightly more of the input and has barely started to leak).
     """
     lams = np.asarray(wavelengths_nm, dtype=float)
-    etas = np.array(_pmap(_wavelength_point, [(net, float(l), z_cm) for l in lams],
-                          workers))
+    psi0 = AmplitudeState.site(net.dimension, net.input_site)
+    etas = np.array([evolve_unitary(build_hamiltonian(net, float(l)), psi0, [z_cm])
+                     .sink_population[-1] for l in lams])
     return SweepResult(
         kind="wavelength-sweep",
         columns={"wavelength_nm": lams, "efficiency": etas},
-        metadata=_base_metadata(net, z_cm=z_cm, workers_hint=workers),
+        metadata=_base_metadata(net, z_cm=z_cm),
     )
 
 
@@ -260,19 +245,9 @@ def dephasing_site(net: NetworkSpec) -> int:
     return net.n_sites - 1
 
 
-def _ensemble_point(task) -> float:
-    """Trapped fraction of the spectral ensemble at one tophat bandwidth."""
-    net, bandwidth, z, nodes = task
-    lam0 = net.dispersion.lambda0_nm
-    spectrum = Spectrum.tophat(lam0, bandwidth) if bandwidth else Spectrum.delta(lam0)
-    psi0 = AmplitudeState.site(net.dimension, net.input_site)
-    ens = ensemble_average(net, spectrum, psi0, z, nodes=nodes)
-    return 1.0 - float(ens.averaged_populations[: net.n_sites].sum())
-
-
 def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: float,
                     nodes: int = 41, kappa: Optional[float] = None,
-                    sensitivity: float = 0.1, workers: int = 1) -> SweepResult:
+                    sensitivity: float = 0.1) -> SweepResult:
     """Transport enhancement versus illumination bandwidth, both routes.
 
     For each tophat bandwidth the enhancement over the coherent run at the
@@ -285,10 +260,9 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     rescaled consistently), the dominant fabrication uncertainty.
 
     Each quantity is computed once: one spectral ensemble per bandwidth
-    (nominal network only, spread over ``workers``) and one gamma per
-    bandwidth, scaled with the detuning for the sensitivity runs (gamma is
-    proportional to it).  A zero bandwidth on the grid doubles as the
-    reference.  The master-equation points take ~1 ms each and run serially.
+    (nominal network only) and one gamma per bandwidth, scaled with the
+    detuning for the sensitivity runs (gamma is proportional to it).  A
+    zero bandwidth on the grid doubles as the reference.
     """
     bws = np.asarray(bandwidths_nm, dtype=float)
     if np.any(bws < 0):
@@ -315,8 +289,14 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
         grid = enaqt_map(_scale_detuning(net, scale), [0.0, z_cm], scale * gammas, kap)
         return grid.column("efficiency")[1::2]
 
-    eta_ens = np.array(_pmap(_ensemble_point,
-                             [(net, float(b), z_cm, nodes) for b in points], workers))
+    psi0 = AmplitudeState.site(net.dimension, net.input_site)
+
+    def ensemble_eta(bandwidth: float) -> float:
+        spectrum = Spectrum.tophat(lam0, bandwidth) if bandwidth else Spectrum.delta(lam0)
+        ens = ensemble_average(net, spectrum, psi0, z_cm, nodes=nodes)
+        return 1.0 - float(ens.averaged_populations[: net.n_sites].sum())
+
+    eta_ens = np.array([ensemble_eta(float(b)) for b in points])
     eta_lind = lindblad_etas(1.0)
 
     columns = {
@@ -355,7 +335,7 @@ def _scale_detuning(net: NetworkSpec, scale: float) -> NetworkSpec:
 
 
 def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[float],
-              kappa: Optional[float] = None, workers: int = 1) -> SweepResult:
+              kappa: Optional[float] = None) -> SweepResult:
     """Efficiency and enhancement over (z, gamma) with the dephasing model.
 
     One master-equation integration per gamma covers the whole z column.
@@ -373,14 +353,15 @@ def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[fl
     rho0[net.input_site, net.input_site] = 1.0
     deph_site = dephasing_site(net)
 
-    tasks = [(h_sys, kap, net.target_site, float(g), deph_site, rho0, zs) for g in gammas]
-    etas = np.array(_pmap(_map_gamma_column, tasks, workers))  # (n_gamma, nz)
+    def column(gamma: float) -> np.ndarray:
+        return evolve_lindblad(h_sys, kap, net.target_site, gamma, deph_site, rho0,
+                               zs).sink_population
 
+    etas = np.array([column(float(g)) for g in gammas])  # (n_gamma, nz)
     if 0.0 in gammas:
         base = etas[np.nonzero(gammas == 0.0)[0][0]]
     else:
-        base = np.array(_map_gamma_column((h_sys, kap, net.target_site, 0.0,
-                                           deph_site, rho0, zs)))
+        base = column(0.0)
     denom = np.where(np.abs(base) < 1e-15, 1.0, base)
     enhancement = np.where(np.abs(base) < 1e-15, 0.0, (etas - base[None, :]) / denom)
 
@@ -396,9 +377,3 @@ def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[fl
         metadata=_base_metadata(net, kappa_per_cm=kap,
                                 n_gamma=int(gammas.size), n_z=int(zs.size)),
     )
-
-
-def _map_gamma_column(task) -> List[float]:
-    h_sys, kap, target, gamma, deph_site, rho0, zs = task
-    trace = evolve_lindblad(h_sys, kap, target, gamma, deph_site, rho0, zs)
-    return [float(v) for v in trace.sink_population]

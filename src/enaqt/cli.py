@@ -15,11 +15,13 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
+import scipy
 
 from ._version import __version__
 from . import analysis, calibration, decoherence, lattice, propagate
@@ -29,6 +31,8 @@ from .config import (ConfigError, RunConfig, config_sha256, default_config_dict,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _utc_now() -> str:
@@ -63,6 +67,13 @@ def _write_manifest(out_dir: Path, name: str, raw_config: Dict, outputs: List[Pa
         "outputs": [
             {"path": p.name, "sha256": _sha256_file(p)} for p in outputs
         ],
+        "runtime": {  # facts that bear on run time, never on the numbers
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "thread_env": {k: os.environ.get(k) for k in _THREAD_ENV},
+        },
     }
     if extra:
         manifest["metadata"] = extra
@@ -128,7 +139,7 @@ def _cmd_sweep_wavelength(args) -> int:
     exp = config.experiment
     lams = analysis.wavelength_grid(net.dispersion.lambda0_nm, exp.wavelength_min_nm,
                                     exp.wavelength_max_nm, exp.wavelength_step_nm)
-    result = analysis.sweep_wavelength(net, lams, exp.z_cm, workers=args.workers)
+    result = analysis.sweep_wavelength(net, lams, exp.z_cm)
     out_dir = _output_dir(config, args.output_dir)
     csv_path = out_dir / "wavelength_sweep.csv"
     result.write_csv(csv_path)
@@ -146,8 +157,7 @@ def _cmd_sweep_bandwidth(args) -> int:
     num = config.numerics
     bws = _grid(0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm)
     result = analysis.sweep_bandwidth(net, bws, exp.z_cm, nodes=num.ensemble_nodes,
-                                      sensitivity=num.sensitivity_fraction,
-                                      workers=args.workers)
+                                      sensitivity=num.sensitivity_fraction)
     out_dir = _output_dir(config, args.output_dir)
     csv_path = out_dir / "bandwidth_sweep.csv"
     result.write_csv(csv_path)
@@ -169,7 +179,7 @@ def _cmd_map(args) -> int:
     else:
         zs = _grid(0.0, exp.z_cm, exp.z_step_cm)
         gammas = _grid(0.0, exp.gamma_max_per_cm, exp.gamma_step_per_cm)
-    result = analysis.enaqt_map(net, zs, gammas, workers=args.workers)
+    result = analysis.enaqt_map(net, zs, gammas)
     out_dir = _output_dir(config, args.output_dir)
     csv_path = out_dir / ("enaqt_map_extended.csv" if args.extended else "enaqt_map.csv")
     result.write_csv(csv_path)
@@ -314,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON run configuration")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for sweep points (default 1)")
+                       help="recorded in the manifest for compatibility; starts "
+                            "no processes (every sweep runs in this process)")
         p.add_argument("--output-dir", default=None,
                        help="override the output directory")
         p.set_defaults(fn=fn)

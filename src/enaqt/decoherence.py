@@ -25,6 +25,7 @@ conventions differ only at second order in dl/lambda0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -159,15 +160,30 @@ def _gauss_blocks(f, a: float, b: float, n_blocks: int, order: int = 24) -> floa
     return total
 
 
+@functools.cache
+def _sinc2_half_line() -> float:
+    """Integral of sinc^2(u) over [0, inf), computed once per process.
+
+    Quadrature to 200 cycles plus the asymptotic sinc^2 tail (~1e-12
+    relative); not pi/2, so the closed-form check on gamma can still fail.
+    """
+    big_t = 200.0 * math.pi
+    # no Gauss-Legendre node lies at u = 0
+    core = _gauss_blocks(lambda u: (np.sin(u) / u) ** 2, 0.0, big_t, 200)
+    s2, c2 = math.sin(2 * big_t), math.cos(2 * big_t)
+    tail = (1.0 / (2 * big_t) + s2 / (4 * big_t ** 2)
+            - c2 / (4 * big_t ** 3) - 3 * s2 / (8 * big_t ** 4))
+    return core + tail
+
+
 def coherence_time(spectrum: Spectrum) -> float:
     """Coherence time integral of |g1|^2 over all delays (seconds).
 
     Computed by quadrature of the squared envelope.  The tophat envelope
-    decays only as 1/tau, so the quadrature runs out to 200 cycles and the
-    remainder is added from the asymptotic expansion of the sinc^2 tail
-    (accurate to ~1e-12 relative at that cutoff).  Monochromatic and
-    discrete spectra never lose coherence permanently: the integral
-    diverges and inf is returned.
+    decays only as 1/tau; in units u = dw*tau/2 its integral does not
+    depend on the width, so it is evaluated once (``_sinc2_half_line``)
+    and rescaled.  Monochromatic and discrete spectra never lose coherence
+    permanently: the integral diverges and inf is returned.
     """
     if spectrum.is_monochromatic or spectrum.shape in ("delta", "discrete"):
         return math.inf
@@ -176,20 +192,8 @@ def coherence_time(spectrum: Spectrum) -> float:
         # |g1|^2 = exp(-(sigma tau)^2), negligible past 8/sigma
         val = _gauss_blocks(lambda t: np.exp(-(sigma * t) ** 2), 0.0, 8.0 / sigma, 32)
         return 2.0 * val
-    # tophat: integral of sinc^2(u) over [0, inf) in units u = dw*tau/2
-    big_t = 200.0 * math.pi
-
-    def sinc2(u):
-        small = np.abs(u) < 1e-8
-        safe = np.where(small, 1.0, u)
-        return np.where(small, 1.0 - u * u / 3.0, (np.sin(safe) / safe) ** 2)
-
-    core = _gauss_blocks(sinc2, 0.0, big_t, 200)
-    s2, c2 = math.sin(2 * big_t), math.cos(2 * big_t)
-    tail = (1.0 / (2 * big_t) + s2 / (4 * big_t ** 2)
-            - c2 / (4 * big_t ** 3) - 3 * s2 / (8 * big_t ** 4))
-    half_line = core + tail
-    return 2.0 * (2.0 / spectrum.angular_width) * half_line
+    # tophat: |g1|^2 = sinc^2(u) with u = dw*tau/2
+    return 2.0 * (2.0 / spectrum.angular_width) * _sinc2_half_line()
 
 
 def decoherence_strength(spectrum: Spectrum, delta_beta: float,

@@ -195,14 +195,6 @@ def test_sweep_result_csv_round_trip(tmp_path):
     assert header == "wavelength_nm,efficiency"
 
 
-def test_sweep_workers_do_not_change_values():
-    net = enaqt4_network()
-    lams = np.array([780.0, 792.5, 805.0])
-    serial = sweep_wavelength(net, lams, 5.0, workers=1).column("efficiency")
-    parallel = sweep_wavelength(net, lams, 5.0, workers=2).column("efficiency")
-    assert np.array_equal(serial, parallel)
-
-
 def test_bandwidth_sweep_shape_and_monotonicity(design_net):
     bws = np.array([0.0, 45.0, 95.0])
     result = sweep_bandwidth(design_net, bws, 15.0, nodes=21, sensitivity=0.1)

@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
 from enaqt import propagate
@@ -51,7 +54,9 @@ def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
 
 
-def test_simulate_writes_csv_and_manifest(tmp_path):
+def test_simulate_writes_csv_and_manifest(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = small_config(tmp_path)
     out = tmp_path / "out"
     assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 0
@@ -64,6 +69,14 @@ def test_simulate_writes_csv_and_manifest(tmp_path):
     manifest = json.loads((out / "dynamics_manifest.json").read_text())
     assert manifest["outputs"][0]["path"] == "dynamics.csv"
     assert manifest["config"]["network"]["n_sites"] == 4
+    runtime = manifest["runtime"]
+    assert runtime["cpu_count"] == os.cpu_count()
+    assert runtime["numpy"] == np.__version__
+    assert set(runtime) == {"cpu_count", "python", "numpy", "scipy", "thread_env"}
+    assert runtime["thread_env"]["OPENBLAS_NUM_THREADS"] == "3"
+    assert runtime["thread_env"]["MKL_NUM_THREADS"] is None
+    assert set(runtime["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS"}
 
 
 def test_sweep_wavelength_outputs(tmp_path):
@@ -97,7 +110,11 @@ def test_manifest_reruns_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["sweep-wavelength", "sweep-bandwidth", "map"])
-def test_workers_flag_is_byte_stable(tmp_path, command):
+def test_workers_flag_is_byte_stable(tmp_path, monkeypatch, command):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--workers must not start a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = small_config(tmp_path)
     csv_name = {"sweep-wavelength": "wavelength_sweep.csv",
                 "sweep-bandwidth": "bandwidth_sweep.csv",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enaqt import decoherence
 from enaqt import (AmplitudeState, DispersionModel, NetworkSpec, Spectrum,
                    build_hamiltonian, coherence_decay_pair, coherence_time,
                    decoherence_strength, ensemble_average, evolve_unitary, g1,
@@ -110,6 +111,23 @@ def test_gamma_quadrature_matches_closed_form_randomized():
         got = decoherence_strength(Spectrum.tophat(lam0, dl), db)
         want = tophat_gamma_closed_form(db, dl, lam0)
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_tophat_sinc2_quadrature_runs_once(monkeypatch):
+    # the sinc^2 integral does not depend on the tophat width
+    calls = []
+    blocks = decoherence._gauss_blocks
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "_gauss_blocks", counting)
+    decoherence._sinc2_half_line.cache_clear()
+    for dl in (5.0, 45.0, 95.0):
+        got = decoherence_strength(Spectrum.tophat(LAMBDA0, dl), 1.0)
+        assert got == pytest.approx(tophat_gamma_closed_form(1.0, dl, LAMBDA0), rel=1e-6)
+    assert len(calls) == 1
 
 
 def test_gamma_gaussian_against_analytic_coherence_time():
