@@ -46,7 +46,10 @@ class EfficiencyPoint:
 
 def effective_kappa(net: NetworkSpec) -> float:
     """Trapping rate equivalent to the network's explicit sink chain."""
-    return _effective_kappa(net, None)
+    if net.sink is None:
+        raise ValueError("no sink on the network and no explicit kappa given")
+    return effective_trap_rate(net.sink.c_trap_per_cm / net.sink.c_sink_per_cm,
+                               net.sink.c_sink_per_cm)
 
 
 def efficiency(trace: EvolutionTrace, z: float) -> float:
@@ -228,15 +231,6 @@ def sweep_wavelength(net: NetworkSpec, wavelengths_nm: Sequence[float],
     )
 
 
-def _effective_kappa(net: NetworkSpec, kappa: Optional[float]) -> float:
-    if kappa is not None:
-        return kappa
-    if net.sink is None:
-        raise ValueError("no sink on the network and no explicit kappa given")
-    return effective_trap_rate(net.sink.c_trap_per_cm / net.sink.c_sink_per_cm,
-                               net.sink.c_sink_per_cm)
-
-
 def dephasing_site(net: NetworkSpec) -> int:
     """Site whose propagation constant drifts across the band: the most
     detuned one.  Falls back to the last site for detuning-free networks."""
@@ -267,7 +261,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     bws = np.asarray(bandwidths_nm, dtype=float)
     if np.any(bws < 0):
         raise ValueError("bandwidths must be non-negative")
-    kap = _effective_kappa(net, kappa)
+    kap = effective_kappa(net) if kappa is None else kappa
     lam0 = net.dispersion.lambda0_nm
     delta_beta = net.dispersion.detuning0_per_cm
 
@@ -293,8 +287,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
 
     def ensemble_eta(bandwidth: float) -> float:
         spectrum = Spectrum.tophat(lam0, bandwidth) if bandwidth else Spectrum.delta(lam0)
-        ens = ensemble_average(net, spectrum, psi0, z_cm, nodes=nodes)
-        return 1.0 - float(ens.averaged_populations[: net.n_sites].sum())
+        return ensemble_average(net, spectrum, psi0, z_cm, nodes=nodes).trapped_fraction
 
     eta_ens = np.array([ensemble_eta(float(b)) for b in points])
     eta_lind = lindblad_etas(1.0)
@@ -346,7 +339,7 @@ def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[fl
     gammas = np.asarray(gamma_grid, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gamma grid must be non-negative")
-    kap = _effective_kappa(net, kappa)
+    kap = effective_kappa(net) if kappa is None else kappa
     lam0 = net.dispersion.lambda0_nm
     h_sys = build_hamiltonian(net, lam0, include_sink=False)
     rho0 = np.zeros((net.n_sites, net.n_sites), dtype=complex)

@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 import scipy
@@ -53,20 +53,21 @@ def _output_dir(config: RunConfig, override: Optional[str]) -> Path:
     return path
 
 
-def _write_manifest(out_dir: Path, name: str, raw_config: Dict, outputs: List[Path],
-                    started: str, command: str, workers: int,
-                    extra: Optional[Dict] = None) -> Path:
+def _emit(args, config: RunConfig, raw_config: Dict, started: str,
+          result: analysis.SweepResult, csv_name: str, command: str) -> int:
+    """Write the result's CSV and its manifest, and report the CSV path."""
+    out_dir = _output_dir(config, args.output_dir)
+    csv_path = out_dir / csv_name
+    result.write_csv(csv_path)
     manifest = {
         "version": __version__,
         "command": command,
-        "workers": workers,
+        "workers": args.workers,
         "started_utc": started,
         "finished_utc": _utc_now(),
         "config": raw_config,
         "config_sha256": config_sha256(raw_config),
-        "outputs": [
-            {"path": p.name, "sha256": _sha256_file(p)} for p in outputs
-        ],
+        "outputs": [{"path": csv_path.name, "sha256": _sha256_file(csv_path)}],
         "runtime": {  # facts that bear on run time, never on the numbers
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
@@ -75,11 +76,12 @@ def _write_manifest(out_dir: Path, name: str, raw_config: Dict, outputs: List[Pa
             "thread_env": {k: os.environ.get(k) for k in _THREAD_ENV},
         },
     }
-    if extra:
-        manifest["metadata"] = extra
-    path = out_dir / f"{name}_manifest.json"
+    if result.metadata:
+        manifest["metadata"] = result.metadata
+    path = out_dir / f"{csv_path.stem}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
-    return path
+    print(f"wrote {csv_path}")
+    return EXIT_OK
 
 
 def _load(args) -> tuple:
@@ -121,15 +123,9 @@ def _cmd_simulate(args) -> int:
                                            zs)
         columns["sink_fraction_effective_rate"] = trapped.sink_population
 
-    out_dir = _output_dir(config, args.output_dir)
     result = analysis.SweepResult(kind="dynamics", columns=columns,
                                   metadata={"wavelength_nm": lam0})
-    csv_path = out_dir / "dynamics.csv"
-    result.write_csv(csv_path)
-    _write_manifest(out_dir, "dynamics", raw, [csv_path], started,
-                    "simulate", args.workers, result.metadata)
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return _emit(args, config, raw, started, result, "dynamics.csv", "simulate")
 
 
 def _cmd_sweep_wavelength(args) -> int:
@@ -140,13 +136,8 @@ def _cmd_sweep_wavelength(args) -> int:
     lams = analysis.wavelength_grid(net.dispersion.lambda0_nm, exp.wavelength_min_nm,
                                     exp.wavelength_max_nm, exp.wavelength_step_nm)
     result = analysis.sweep_wavelength(net, lams, exp.z_cm)
-    out_dir = _output_dir(config, args.output_dir)
-    csv_path = out_dir / "wavelength_sweep.csv"
-    result.write_csv(csv_path)
-    _write_manifest(out_dir, "wavelength_sweep", raw, [csv_path], started,
-                    "sweep-wavelength", args.workers, result.metadata)
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return _emit(args, config, raw, started, result, "wavelength_sweep.csv",
+                 "sweep-wavelength")
 
 
 def _cmd_sweep_bandwidth(args) -> int:
@@ -158,13 +149,8 @@ def _cmd_sweep_bandwidth(args) -> int:
     bws = _grid(0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm)
     result = analysis.sweep_bandwidth(net, bws, exp.z_cm, nodes=num.ensemble_nodes,
                                       sensitivity=num.sensitivity_fraction)
-    out_dir = _output_dir(config, args.output_dir)
-    csv_path = out_dir / "bandwidth_sweep.csv"
-    result.write_csv(csv_path)
-    _write_manifest(out_dir, "bandwidth_sweep", raw, [csv_path], started,
-                    "sweep-bandwidth", args.workers, result.metadata)
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return _emit(args, config, raw, started, result, "bandwidth_sweep.csv",
+                 "sweep-bandwidth")
 
 
 def _cmd_map(args) -> int:
@@ -176,18 +162,13 @@ def _cmd_map(args) -> int:
         # long-haul regime: strong dephasing pushes the efficiency toward 1
         zs = _grid(0.0, 500.0, 5.0)
         gammas = _grid(0.0, 0.5, 0.025)
+        csv_name, command = "enaqt_map_extended.csv", "map --extended"
     else:
         zs = _grid(0.0, exp.z_cm, exp.z_step_cm)
         gammas = _grid(0.0, exp.gamma_max_per_cm, exp.gamma_step_per_cm)
+        csv_name, command = "enaqt_map.csv", "map"
     result = analysis.enaqt_map(net, zs, gammas)
-    out_dir = _output_dir(config, args.output_dir)
-    csv_path = out_dir / ("enaqt_map_extended.csv" if args.extended else "enaqt_map.csv")
-    result.write_csv(csv_path)
-    _write_manifest(out_dir, csv_path.stem, raw, [csv_path], started,
-                    "map" + (" --extended" if args.extended else ""),
-                    args.workers, result.metadata)
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return _emit(args, config, raw, started, result, csv_name, command)
 
 
 def _cmd_calibrate(args) -> int:
@@ -253,9 +234,9 @@ def _cmd_check(args) -> int:
         n = num.ensemble_nodes
         sink_at = {}
         for count in (n, 2 * n - 1):
-            ens = decoherence.ensemble_average(net, config.spectrum, psi0,
-                                               config.experiment.z_cm, nodes=count)
-            sink_at[count] = 1.0 - float(ens.averaged_populations[: net.n_sites].sum())
+            sink_at[count] = decoherence.ensemble_average(
+                net, config.spectrum, psi0, config.experiment.z_cm,
+                nodes=count).trapped_fraction
         drift = abs(sink_at[n] - sink_at[2 * n - 1])
         report("ensemble quadrature convergence", drift < 1e-4,
                f"sink fraction moves {drift:.2e} when nodes {n} -> {2 * n - 1}")
@@ -293,8 +274,7 @@ def _cmd_check(args) -> int:
         print(f"[skip] dark-state diagnostics: network has no sink ({census})")
     else:
         kappa = analysis.effective_kappa(net)
-        h_eff = h_sys.entries.astype(complex)
-        h_eff[net.target_site, net.target_site] -= 0.5j * kappa
+        h_eff = propagate._trapped_hamiltonian(h_sys, kappa, net.target_site)
         # slowest bright-mode population decay; rates this far below kappa
         # are a dark mode's rounding
         rates = -2.0 * np.linalg.eigvals(h_eff).imag

@@ -1,6 +1,6 @@
 """Run configuration: JSON schema, validation, defaults, manifests.
 
-Configs are plain JSON with four blocks (network, spectrum, experiment,
+Configs are plain JSON with five blocks (network, spectrum, experiment,
 output, numerics).  Unknown keys are rejected and every physical quantity
 carries its unit in the key name, because a silent cm/nm mix-up is the
 most likely way to get a wrong-but-plausible answer out of this package.
@@ -20,6 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from .analysis import wavelength_grid
 from .decoherence import SPECTRUM_SHAPES, Spectrum
 from .lattice import DETUNING_LAWS, DispersionModel, NetworkSpec, SinkSpec
 
@@ -68,7 +69,7 @@ class RunConfig:
 
 
 def default_config_dict() -> Dict:
-    """Full default configuration: the four-guide design network.
+    """Full default configuration: the packaged four-guide design network.
 
     Chain coupling and site-4 detuning of 1.0 cm^-1, trap and sink
     couplings of 1.5 and 1.75 cm^-1, matched at 792.5 nm.  The dispersion
@@ -76,55 +77,7 @@ def default_config_dict() -> Dict:
     sized so nothing reflects off the chain end within 15 cm anywhere in
     the sweep window.
     """
-    return {
-        "network": {
-            "n_sites": 4,
-            "input_site": 1,
-            "target_site": 3,
-            "site_detunings": [{"site": 4, "delta_beta_per_cm": 1.0}],
-            "couplings": [
-                {"site_a": 1, "site_b": 2, "coupling_per_cm": 1.0},
-                {"site_a": 2, "site_b": 3, "coupling_per_cm": 1.0},
-                {"site_a": 3, "site_b": 4, "coupling_per_cm": 1.0},
-            ],
-            "dispersion": {
-                "lambda0_nm": 792.5,
-                "beta0_per_cm": 0.0,
-                "detuning_law": "inverse-lambda",
-                "detuning0_per_cm": 1.0,
-                "coupling_slope_per_nm": 0.01,
-                "slopes_are_placeholders": True,
-            },
-            "sink": {
-                "n_sink": 90,
-                "c_trap_per_cm": 1.5,
-                "c_sink_per_cm": 1.75,
-            },
-        },
-        "spectrum": {
-            "shape": "tophat",
-            "center_nm": 792.5,
-            "fwhm_nm": 95.0,
-        },
-        "experiment": {
-            "z_cm": 15.0,
-            "z_step_cm": 0.1,
-            "wavelength_min_nm": 745.0,
-            "wavelength_max_nm": 840.0,
-            "wavelength_step_nm": 0.5,
-            "bandwidth_max_nm": 95.0,
-            "bandwidth_step_nm": 5.0,
-            "gamma_max_per_cm": 0.02,
-            "gamma_step_per_cm": 0.001,
-        },
-        "output": {"directory": "runs"},
-        "numerics": {
-            "ensemble_nodes": 41,
-            "dark_overlap_threshold": 1e-12,
-            "no_return_threshold": 1e-3,
-            "sensitivity_fraction": 0.1,
-        },
-    }
+    return json.loads(bundled_network_path().read_text())
 
 
 def bundled_network_path() -> Path:
@@ -180,7 +133,7 @@ def _get(block: Dict, key: str, path: str, kind, default=_REQUIRED):
 
 
 def _positive(value: float, path: str) -> float:
-    if value <= 0:
+    if not value > 0:
         raise ConfigError(path, f"must be positive, got {value}")
     return value
 
@@ -329,7 +282,7 @@ def config_from_dict(raw: Dict) -> RunConfig:
                       FutureWarning, stacklevel=2)
         numerics_block = {k: v for k, v in numerics_block.items()
                           if k != "lindblad_step_tolerance"}
-    return RunConfig(
+    config = RunConfig(
         network=_parse_network(raw["network"]),
         spectrum=_parse_spectrum(spectrum_block),
         experiment=_parse_simple(raw.get("experiment", {}), ExperimentConfig,
@@ -337,6 +290,34 @@ def config_from_dict(raw: Dict) -> RunConfig:
         output=_parse_simple(raw.get("output", {}), OutputConfig, "output"),
         numerics=_parse_simple(numerics_block, NumericsConfig, "numerics"),
     )
+    _check_grids(config)
+    return config
+
+
+def _check_grids(config: RunConfig) -> None:
+    """Reject grids the run commands cannot build: a step that is not
+    positive, a range that holds no grid point, or no quadrature node."""
+    exp = config.experiment
+    for key in ("z_step_cm", "wavelength_step_nm", "bandwidth_step_nm",
+                "gamma_step_per_cm"):
+        _positive(getattr(exp, key), f"experiment.{key}")
+    for key in ("z_cm", "bandwidth_max_nm", "gamma_max_per_cm"):
+        value = getattr(exp, key)
+        if not value >= 0:
+            raise ConfigError(f"experiment.{key}", f"must be non-negative, got {value}")
+    lam0 = config.network.dispersion.lambda0_nm
+    try:
+        wavelength_grid(lam0, exp.wavelength_min_nm, exp.wavelength_max_nm,
+                        exp.wavelength_step_nm)
+    except ValueError:
+        raise ConfigError(
+            "experiment.wavelength_min_nm",
+            f"no point of the {exp.wavelength_step_nm} nm grid through {lam0} nm lies "
+            f"in [wavelength_min_nm, wavelength_max_nm] = "
+            f"[{exp.wavelength_min_nm}, {exp.wavelength_max_nm}]") from None
+    if config.numerics.ensemble_nodes < 1:
+        raise ConfigError("numerics.ensemble_nodes",
+                          f"must be >= 1, got {config.numerics.ensemble_nodes}")
 
 
 def parse_config(path) -> RunConfig:

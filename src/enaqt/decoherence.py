@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .lattice import NetworkSpec, build_hamiltonian
-from .propagate import _as_amplitudes
+from .propagate import _as_amplitudes, _unitary_amplitudes
 from .units import C_LIGHT_CM_PER_S, nm_to_cm
 
 SPECTRUM_SHAPES = ("tophat", "gaussian", "delta", "discrete")
@@ -276,17 +276,23 @@ def spectral_nodes(spectrum: Spectrum, nodes: int) -> Tuple[np.ndarray, np.ndarr
 
 @dataclass(eq=False)
 class EnsembleResult:
-    """Wavelength-averaged state of a network under broadband light."""
+    """Wavelength-averaged state of a network under broadband light.
+
+    ``n_system`` leading guides are system sites; the rest is the sink.
+    """
 
     averaged_populations: np.ndarray
     averaged_density: np.ndarray
     node_count: int
     wavelengths_nm: np.ndarray
     weights: np.ndarray
+    n_system: int
 
     @property
-    def system_population(self) -> float:
-        return float(self.averaged_populations.sum())
+    def trapped_fraction(self) -> float:
+        """Light that has left the system sites: the ensemble efficiency,
+        equal to sum_k w_k eta_coh(lambda_k)."""
+        return 1.0 - float(self.averaged_populations[: self.n_system].sum())
 
 
 def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
@@ -294,7 +300,8 @@ def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
     """Trace out the wavelength: average coherent runs over the spectrum.
 
     Builds H(lambda_k) at each quadrature node, evolves ``psi0`` unitarily
-    (explicit sink and all) to ``z_cm``, and accumulates the weighted
+    (explicit sink and all) to ``z_cm`` with the coherent propagator that
+    ``evolve_unitary`` uses, and accumulates the weighted
     mixture of the resulting pure states.  Node results are reduced in a
     fixed index order so the outcome does not depend on how callers
     schedule the work.
@@ -305,11 +312,10 @@ def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
     if amps0.shape[0] != dim:
         raise ValueError(f"state dimension {amps0.shape[0]} != network dimension {dim}")
 
+    zs = np.array([z_cm], dtype=float)
     states = np.empty((lams.size, dim), dtype=complex)
     for k, lam in enumerate(lams):
-        h = build_hamiltonian(net, float(lam))
-        energies, modes = np.linalg.eigh(h.entries)
-        states[k] = modes @ (np.exp(-1j * energies * z_cm) * (modes.conj().T @ amps0))
+        states[k] = _unitary_amplitudes(build_hamiltonian(net, float(lam)), amps0, zs)[0]
 
     rho = np.einsum("k,ki,kj->ij", weights, states, states.conj())
     return EnsembleResult(
@@ -318,4 +324,5 @@ def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
         node_count=int(lams.size),
         wavelengths_nm=lams,
         weights=weights,
+        n_system=net.n_sites,
     )

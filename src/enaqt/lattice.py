@@ -11,7 +11,7 @@ wavelength is a real-symmetric matrix in cm^-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -128,9 +128,6 @@ class NetworkSpec:
     def dimension(self) -> int:
         """Total guide count including the sink chain."""
         return self.n_sites + (self.sink.n_sink if self.sink else 0)
-
-    def without_sink(self) -> "NetworkSpec":
-        return replace(self, sink=None)
 
 
 @dataclass(eq=False)

@@ -93,15 +93,6 @@ def _as_amplitudes(psi) -> np.ndarray:
     return np.asarray(psi, dtype=complex)
 
 
-def _as_density(rho) -> np.ndarray:
-    if isinstance(rho, DensityState):
-        return rho.matrix
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 1:
-        return np.outer(rho, rho.conj())
-    return rho
-
-
 def _as_zgrid(z_grid) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if zs.ndim != 1 or zs.size == 0:
@@ -121,6 +112,18 @@ def _initial_amplitudes(psi0, dim: int) -> np.ndarray:
     if abs(n2 - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, squared norm is {n2}")
     return amps
+
+
+def _initial_density(rho0, dim: int) -> np.ndarray:
+    rho = rho0.matrix if isinstance(rho0, DensityState) else _as_amplitudes(rho0)
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
+    if rho.shape != (dim, dim):
+        raise ValueError(f"density shape {rho.shape} != Hamiltonian dimension {dim}")
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > 1e-9:
+        raise ValueError(f"initial state must have unit trace, trace is {tr}")
+    return rho
 
 
 def _trace(h: HamiltonianMatrix, zs: np.ndarray, pops: np.ndarray,
@@ -144,14 +147,20 @@ def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     """
     zs = _as_zgrid(z_grid)
     amps = _initial_amplitudes(psi0, h.dimension)
+    return _trace(h, zs, np.abs(_unitary_amplitudes(h, amps, zs)) ** 2)
+
+
+def _unitary_amplitudes(h: HamiltonianMatrix, amps: np.ndarray,
+                        zs: np.ndarray) -> np.ndarray:
+    """Rows psi(z) = exp(-iHz) amps for each z, from one eigendecomposition
+    of the real-symmetric H: the one coherent propagator of the package."""
     try:
         energies, modes = np.linalg.eigh(h.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     coeffs = modes.conj().T @ amps
     phases = np.exp(-1j * np.outer(zs, energies))
-    amps_z = (modes @ (phases * coeffs).T).T
-    return _trace(h, zs, np.abs(amps_z) ** 2)
+    return (modes @ (phases * coeffs).T).T
 
 
 def _propagate(gen: np.ndarray, v0: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -180,15 +189,21 @@ def evolve_trapped(h: HamiltonianMatrix, kappa: float, target: int,
     exp(-i H_eff dz), computed once per distinct grid step.  The population
     decay rate of an isolated trapped site is exactly kappa.
     """
+    h_eff = _trapped_hamiltonian(h, kappa, target)
+    zs = _as_zgrid(z_grid)
+    amps = _initial_amplitudes(psi0, h.dimension)
+    return _trace(h, zs, np.abs(_propagate(-1j * h_eff, amps, zs)) ** 2)
+
+
+def _trapped_hamiltonian(h: HamiltonianMatrix, kappa: float, target: int) -> np.ndarray:
+    """H - i(kappa/2)|t><t|: the generator of irreversible trapping on t."""
     if kappa < 0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
     if not 0 <= target < h.dimension:
         raise ValueError(f"target {target} out of range")
-    zs = _as_zgrid(z_grid)
-    amps = _initial_amplitudes(psi0, h.dimension)
-    h_eff = h.entries.astype(complex).copy()
+    h_eff = h.entries.astype(complex)
     h_eff[target, target] -= 0.5j * kappa
-    return _trace(h, zs, np.abs(_propagate(-1j * h_eff, amps, zs)) ** 2)
+    return h_eff
 
 
 def _check_density_stack(rhos: np.ndarray) -> None:
@@ -231,8 +246,8 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
         sink chain, with this engine).
     kappa, dephasing_rate : float
         Trapping and dephasing rates in cm^-1, both >= 0.
-    rho0 : DensityState, matrix, or amplitude vector
-        Initial state; vectors are promoted to pure densities.
+    rho0 : DensityState, matrix, AmplitudeState or amplitude vector
+        Initial state of unit trace; vectors are promoted to pure densities.
     z_grid : array
         Output grid, non-decreasing from z >= 0.
     """
@@ -241,10 +256,8 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
     if dephasing_rate < 0:
         raise ValueError(f"dephasing rate must be non-negative, got {dephasing_rate}")
     zs = _as_zgrid(z_grid)
-    rho = _as_density(rho0)
     dim = h.dimension
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density shape {rho.shape} != Hamiltonian dimension {dim}")
+    rho = _initial_density(rho0, dim)
     if not 0 <= target < dim or not 0 <= dephasing_site < dim:
         raise ValueError("target or dephasing site out of range")
 
@@ -311,10 +324,7 @@ def sink_no_return_check(net: NetworkSpec, z_max: float,
     def run(spec: NetworkSpec):
         h = build_hamiltonian(spec, lam)
         psi0 = AmplitudeState.site(h.dimension, spec.input_site)
-        energies, modes = np.linalg.eigh(h.entries)
-        coeffs = modes.conj().T @ psi0.amplitudes
-        amps_z = (modes @ (np.exp(-1j * np.outer(zs, energies)) * coeffs).T).T
-        return np.abs(amps_z) ** 2
+        return np.abs(_unitary_amplitudes(h, psi0.amplitudes, zs)) ** 2
 
     pops = run(net)
     longer = dataclasses.replace(

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from enaqt import (AmplitudeState, DispersionModel, HamiltonianMatrix,
+from enaqt import (AmplitudeState, DispersionModel, HamiltonianMatrix, Spectrum,
                    build_hamiltonian, dark_state_diagnostics, efficiency, enaqt4_network,
-                   enaqt_map, enaqt_metric, evolve_trapped, sweep_bandwidth,
-                   sweep_wavelength, tophat_gamma_closed_form, wavelength_grid)
+                   enaqt_map, enaqt_metric, ensemble_average, evolve_trapped,
+                   spectral_nodes, sweep_bandwidth, sweep_wavelength,
+                   tophat_gamma_closed_form, wavelength_grid)
 from conftest import DARK_VECTOR, LAMBDA0
 
 
@@ -218,6 +219,16 @@ def test_bandwidth_sweep_shape_and_monotonicity(design_net):
     assert np.all(high[1:] <= lind[1:] + 1e-12)
     assert low[0] == pytest.approx(0.0, abs=1e-9)
     assert result.metadata["measured_reference"]["enaqt_percent"] == 7.6
+
+
+def test_ensemble_is_weighted_sum_of_coherent_sweep(design_net):
+    # tracing out the wavelength: eta_ens = sum_k w_k eta_coh(lambda_k)
+    spectrum = Spectrum.tophat(LAMBDA0, 95.0)
+    lams, weights = spectral_nodes(spectrum, 41)
+    psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)
+    ens = ensemble_average(design_net, spectrum, psi0, 15.0, nodes=41)
+    coherent = sweep_wavelength(design_net, lams, 15.0).column("efficiency")
+    assert abs(ens.trapped_fraction - float(weights @ coherent)) < 1e-12
 
 
 def test_enaqt_map_structure(design_net):

@@ -143,6 +143,48 @@ def test_unphysical_lindblad_output_exits_3_without_csv(tmp_path, monkeypatch,
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-wavelength",
+                                     "sweep-bandwidth", "check"])
+def test_failed_eigendecomposition_exits_3(tmp_path, monkeypatch, capsys, command):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    out = tmp_path / "out"
+    assert main([command, str(small_config(tmp_path)), "--output-dir", str(out)]) == 3
+    assert "eigendecomposition failed" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, updates", [
+    ("simulate", {"experiment.z_step_cm": 0.0}),
+    ("map", {"experiment.z_step_cm": 0.0}),
+    ("simulate", {"experiment.z_step_cm": -0.1}),
+    ("sweep-bandwidth", {"experiment.bandwidth_step_nm": 0.0}),
+    ("map", {"experiment.gamma_step_per_cm": 0.0}),
+    ("sweep-wavelength", {"experiment.wavelength_step_nm": 0.0}),
+    ("sweep-bandwidth", {"numerics.ensemble_nodes": 0}),
+    ("simulate", {"experiment.z_cm": -1.0}),
+    ("sweep-bandwidth", {"experiment.bandwidth_max_nm": -5.0}),
+    ("map", {"experiment.gamma_max_per_cm": -0.01}),
+    ("sweep-wavelength", {"experiment.wavelength_min_nm": 900.0}),
+    # a window narrower than the step, between two points of the grid
+    ("sweep-wavelength", {"experiment.wavelength_min_nm": 800.1,
+                          "experiment.wavelength_max_nm": 800.3}),
+])
+def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
+    raw = default_config_dict()
+    for key, value in updates.items():
+        block, name = key.split(".")
+        raw[block][name] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(p), "--output-dir", str(out)]) == 2
+    assert next(iter(updates)) in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_map_subcommand(tmp_path):
     cfg = small_config(tmp_path, z_cm=6.0, z_step_cm=2.0)
     out = tmp_path / "out"

@@ -117,6 +117,25 @@ def test_lindblad_closed_limit_matches_trapped(h_system, design_kappa):
     assert np.max(np.abs(trapped.populations - lind.populations)) < 1e-6
 
 
+@pytest.mark.parametrize("state", [_site(4, 0), _site(4, 0).amplitudes,
+                                   DensityState.pure(_site(4, 0))],
+                         ids=["AmplitudeState", "vector", "DensityState"])
+def test_lindblad_accepts_every_initial_state_form(h_system, design_kappa, state):
+    zs = [0.0, 2.0, 5.0]
+    want = evolve_trapped(h_system, design_kappa, 2, _site(4, 0), zs)
+    got = evolve_lindblad(h_system, design_kappa, 2, 0.0, 3, state, zs)
+    assert np.max(np.abs(got.populations - want.populations)) < 1e-12
+
+
+@pytest.mark.parametrize("state", [np.array([0.5, 0.0, 0.0, 0.0]),
+                                   np.diag([0.5, 0.0, 0.0, 0.0]),
+                                   DensityState(np.diag([0.5, 0.0, 0.0, 0.0]))],
+                         ids=["vector", "matrix", "DensityState"])
+def test_lindblad_rejects_initial_trace_other_than_one(h_system, state):
+    with pytest.raises(ValueError, match="unit trace"):
+        evolve_lindblad(h_system, 1.0, 2, 0.0, 3, state, [1.0])
+
+
 def test_lindblad_pure_coherence_decay():
     # free, untrapped pair with an initial coherence: the damped element
     # decays at exactly the dephasing rate
