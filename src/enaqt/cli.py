@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
-import scipy
 
 from ._version import __version__
 from . import analysis, calibration, decoherence, lattice, propagate
@@ -72,7 +71,6 @@ def _emit(args, config: RunConfig, raw_config: Dict, started: str,
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "thread_env": {k: os.environ.get(k) for k in _THREAD_ENV},
         },
     }
@@ -263,9 +261,7 @@ def _cmd_check(args) -> int:
     err = abs(trace.populations[-1, 1] - calibration.pair_transfer(c, dbeta, z))
     report("pair-transfer oracle", err < 1e-10, f"|mismatch| {err:.2e}")
 
-    # dark-mode census: the coherent ceiling must be where trapping saturates.
-    # Runs last: scipy's expm wakes scipy's own OpenBLAS threads, which then
-    # spin for ~0.1 s and slow numpy's eigh in the ensemble check on 2 cores.
+    # dark-mode census: the coherent ceiling must be where trapping saturates
     h_sys = lattice.build_hamiltonian(net, lam0, include_sink=False)
     diag = analysis.dark_state_diagnostics(h_sys, net.target_site, net.input_site,
                                            threshold=num.dark_overlap_threshold)

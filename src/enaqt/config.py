@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -112,6 +113,8 @@ def _get(block: Dict, key: str, path: str, kind, default=_REQUIRED):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond floats
+            raise ConfigError(f"{path}.{key}", f"must be finite, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .lattice import NetworkSpec, build_hamiltonian
-from .propagate import _as_amplitudes, _unitary_amplitudes
+from .propagate import _initial_amplitudes, _unitary_amplitudes
 from .units import C_LIGHT_CM_PER_S, nm_to_cm
 
 SPECTRUM_SHAPES = ("tophat", "gaussian", "delta", "discrete")
@@ -307,10 +307,8 @@ def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
     schedule the work.
     """
     lams, weights = spectral_nodes(spectrum, nodes)
-    amps0 = _as_amplitudes(psi0)
     dim = net.dimension
-    if amps0.shape[0] != dim:
-        raise ValueError(f"state dimension {amps0.shape[0]} != network dimension {dim}")
+    amps0 = _initial_amplitudes(psi0, dim)
 
     zs = np.array([z_cm], dtype=float)
     states = np.empty((lams.size, dim), dtype=complex)

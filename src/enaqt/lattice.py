@@ -58,9 +58,6 @@ class DispersionModel:
             raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
         return math.exp(self.coupling_slope_per_nm * (wavelength_nm - self.lambda0_nm))
 
-    def detuning_at(self, wavelength_nm: float) -> float:
-        return self.detuning0_per_cm * self.detuning_scale(wavelength_nm)
-
 
 @dataclass(frozen=True)
 class SinkSpec:

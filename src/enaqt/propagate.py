@@ -9,11 +9,11 @@ rates are in cm^-1 and distances in cm.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
 
@@ -163,22 +163,49 @@ def _unitary_amplitudes(h: HamiltonianMatrix, amps: np.ndarray,
     return (modes @ (phases * coeffs).T).T
 
 
-def _propagate(gen: np.ndarray, v0: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Rows v(z) = exp(gen z) v0 for each z of a non-decreasing grid from
-    z >= 0, stepping with exp(gen dz) computed once per distinct step dz."""
-    out = np.empty((zs.size, v0.size), dtype=complex)
-    steps = {}
-    v = np.asarray(v0, dtype=complex)
-    z_prev = 0.0
-    for k, z in enumerate(zs):
-        dz = float(z - z_prev)
-        if dz:
-            if dz not in steps:
-                steps[dz] = scipy.linalg.expm(gen * dz)
-            v = steps[dz] @ v
+def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Rows exp(gen z) v for each z of a non-decreasing grid from z >= 0,
+    stepping with exp(gen dz), one exponential per distinct step dz."""
+    dzs, step_of = np.unique(np.diff(zs, prepend=0.0), return_inverse=True)
+    steps = _expm(gen * dzs[:, None, None])
+    out = np.empty((zs.size, v.size), dtype=complex)
+    for k, j in enumerate(step_of):
+        if dzs[j]:
+            v = steps[j] @ v
         out[k] = v
-        z_prev = z
     return out
+
+
+# Pade-13 coefficients b_0..b_13 and its 1-norm bound theta_13 (Higham 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(stack: np.ndarray) -> np.ndarray:
+    """exp(A) for each A of a stack: Pade-13 scaling and squaring (Higham's
+    Algorithm 2.3), one scaling 2^-s for the stack, set by its largest 1-norm."""
+    norm = float(np.abs(stack).sum(axis=-2).max())
+    if not math.isfinite(norm):
+        raise NumericalError(f"cannot exponentiate a generator of 1-norm {norm}")
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+    a = stack / 2.0 ** s
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    b, eye = _PADE13, np.eye(a.shape[-1])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    try:
+        r = np.linalg.solve(v - u, v + u)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Pade denominator is singular: {exc}") from exc
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def evolve_trapped(h: HamiltonianMatrix, kappa: float, target: int,

@@ -8,12 +8,6 @@ bookkeeping does).
 
 C_LIGHT_CM_PER_S = 2.99792458e10
 
-NM_PER_CM = 1e7
-
 
 def nm_to_cm(x: float) -> float:
     return x * 1e-7
-
-
-def cm_to_nm(x: float) -> float:
-    return x * 1e7

@@ -2,10 +2,14 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enaqt
 from enaqt import propagate
 from enaqt.cli import main
 from enaqt.config import bundled_network_path, default_config_dict
@@ -72,7 +76,7 @@ def test_simulate_writes_csv_and_manifest(tmp_path, monkeypatch):
     runtime = manifest["runtime"]
     assert runtime["cpu_count"] == os.cpu_count()
     assert runtime["numpy"] == np.__version__
-    assert set(runtime) == {"cpu_count", "python", "numpy", "scipy", "thread_env"}
+    assert set(runtime) == {"cpu_count", "python", "numpy", "thread_env"}
     assert runtime["thread_env"]["OPENBLAS_NUM_THREADS"] == "3"
     assert runtime["thread_env"]["MKL_NUM_THREADS"] is None
     assert set(runtime["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -171,6 +175,7 @@ def test_failed_eigendecomposition_exits_3(tmp_path, monkeypatch, capsys, comman
     # a window narrower than the step, between two points of the grid
     ("sweep-wavelength", {"experiment.wavelength_min_nm": 800.1,
                           "experiment.wavelength_max_nm": 800.3}),
+    ("simulate", {"experiment.z_cm": math.inf}),
 ])
 def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     raw = default_config_dict()
@@ -183,6 +188,35 @@ def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     assert main([command, str(p), "--output-dir", str(out)]) == 2
     assert next(iter(updates)) in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "map", "sweep-wavelength"])
+@pytest.mark.parametrize("value", [math.nan, -math.inf, 10 ** 400],
+                         ids=["nan", "-inf", "int-beyond-float"])
+def test_non_finite_detuning_exits_2_naming_the_key(tmp_path, capsys, command, value):
+    raw = default_config_dict()
+    raw["network"]["site_detunings"][0]["delta_beta_per_cm"] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(p), "--output-dir", str(out)]) == 2
+    assert ("network.site_detunings[0].delta_beta_per_cm: must be finite"
+            in capsys.readouterr().err)
+    assert not list(out.glob("*"))
+
+
+def test_package_runs_without_scipy():
+    # numpy is the only runtime dependency: importing the package and the CLI
+    # and running every check must not load scipy
+    code = ("import sys, enaqt, enaqt.cli\n"
+            "assert enaqt.cli.main(['check', str(enaqt.bundled_network_path())]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(enaqt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_map_subcommand(tmp_path):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import warnings
 
 import pytest
 
 from enaqt import ConfigError, bundled_network_path, enaqt4_network, parse_config
+from enaqt.cli import main
 from enaqt.config import config_from_dict, default_config_dict
 
 
@@ -16,9 +18,17 @@ def test_bundled_config_is_the_design_network():
     assert config.experiment.z_cm == 15.0
 
 
-def test_bundled_config_matches_printed_defaults():
-    bundled = json.loads(bundled_network_path().read_text())
-    assert bundled == default_config_dict()
+def test_bundled_config_matches_printed_defaults(tmp_path, capsys):
+    # the packaged JSON is what --print-defaults prints and what a run on it
+    # echoes and hashes in its manifest
+    packaged = json.loads(bundled_network_path().read_text())
+    assert main(["--print-defaults"]) == 0
+    assert json.loads(capsys.readouterr().out) == packaged
+    assert main(["simulate", str(bundled_network_path()), "--output-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "dynamics_manifest.json").read_text())
+    assert manifest["config"] == packaged
+    canonical = json.dumps(packaged, sort_keys=True, separators=(",", ":")).encode()
+    assert manifest["config_sha256"] == hashlib.sha256(canonical).hexdigest()
 
 
 def test_defaults_dict_validates():

@@ -216,6 +216,12 @@ def test_ensemble_density_is_physical(design_net):
     assert ens.averaged_populations.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_ensemble_rejects_unnormalised_state(design_net):
+    psi0 = 2.0 * np.eye(design_net.dimension)[0]
+    with pytest.raises(ValueError, match="normalized"):
+        ensemble_average(design_net, DESIGN_TOPHAT, psi0, 15.0, nodes=5)
+
+
 def test_ensemble_quadrature_convergence(design_net):
     psi0 = AmplitudeState.site(design_net.dimension, 0)
     sink = {}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from enaqt import (AmplitudeState, DensityState, HamiltonianMatrix, SinkSpec,
                    build_hamiltonian, enaqt4_network, evolve_lindblad,
                    evolve_trapped, evolve_unitary, sink_no_return_check)
-from enaqt.propagate import NumericalError, _check_density_stack, _propagate
+from enaqt.propagate import NumericalError, _check_density_stack, _expm, _propagate
 from conftest import DARK_VECTOR, LAMBDA0
 
 ZS = np.arange(0.0, 15.0 + 1e-9, 0.1)
@@ -186,6 +186,40 @@ def test_propagate_matches_one_expm_per_z():
     got = _propagate(gen, v0, zs)
     want = np.array([scipy.linalg.expm(gen * z) @ v0 for z in zs])
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+def _unit_norm_generator(n, seed):
+    # -i(H - iL/2) with H Hermitian and loss L >= 0, scaled to 1-norm 1
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    gen = -1j * (m + m.conj().T) - 0.5 * np.diag(rng.uniform(0.0, 2.0, size=n))
+    return gen / np.abs(gen).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("stack", [
+    np.zeros((1, 3, 3)),
+    np.array([[[-0.4 + 1.3j, 1.0], [0.0, -0.4 + 1.3j]]]),  # defective
+    np.stack([_unit_norm_generator(16, 5) * s for s in (1e-3, 1e-1, 1.0, 1e1, 1e2)]),
+    # 1-norm 40 > theta_13 = 5.37: three squarings
+    np.stack([_unit_norm_generator(4, 7) * 40.0]),
+], ids=["zero", "jordan-block", "mixed-norm-stack", "squared"])
+def test_expm_matches_scipy(stack):
+    got = _expm(stack)
+    for a, exp_a in zip(stack, got):
+        want = scipy.linalg.expm(a)
+        assert np.max(np.abs(exp_a - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_expm_failure_is_numerical_error(monkeypatch):
+    with pytest.raises(NumericalError, match="1-norm"):
+        _expm(np.full((1, 2, 2), np.nan))
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalError, match="singular"):
+        _expm(np.eye(2)[None])
 
 
 def test_lindblad_matches_liouvillian_exponential(h_system, design_kappa):
