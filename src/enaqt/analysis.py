@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .calibration import effective_trap_rate
-from .decoherence import Spectrum, decoherence_strength, ensemble_average
+from .decoherence import Spectrum, band_fit, decoherence_strength, spectral_nodes
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
 from .propagate import (AmplitudeState, EvolutionTrace, evolve_lindblad,
                         evolve_unitary)
@@ -253,10 +253,15 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     route when the design detuning is off by +-``sensitivity`` (gamma
     rescaled consistently), the dominant fabrication uncertainty.
 
-    Each quantity is computed once: one spectral ensemble per bandwidth
-    (nominal network only) and one gamma per bandwidth, scaled with the
-    detuning for the sensitivity runs (gamma is proportional to it).  A
-    zero bandwidth on the grid doubles as the reference.
+    Each quantity is computed once.  Every tophat averages the same smooth
+    eta_coh(omega) over a nested band about the center, so one Chebyshev
+    fit over the widest band (``band_fit``) replaces the coherent runs:
+    each ensemble efficiency is sum_k w_k fit(lambda_k) over that
+    bandwidth's ``nodes`` Gauss-Legendre nodes, and the metadata records
+    the fit's size and tail as ``ensemble_fit``.  There is one gamma per
+    bandwidth, scaled with the detuning for the sensitivity runs (gamma is
+    proportional to it).  A zero bandwidth on the grid doubles as the
+    reference.
     """
     bws = np.asarray(bandwidths_nm, dtype=float)
     if np.any(bws < 0):
@@ -284,10 +289,11 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
         return grid.column("efficiency")[1::2]
 
     psi0 = AmplitudeState.site(net.dimension, net.input_site)
+    fit = band_fit(net, Spectrum.tophat(lam0, float(points.max())), psi0, z_cm)
 
     def ensemble_eta(bandwidth: float) -> float:
-        spectrum = Spectrum.tophat(lam0, bandwidth) if bandwidth else Spectrum.delta(lam0)
-        return ensemble_average(net, spectrum, psi0, z_cm, nodes=nodes).trapped_fraction
+        lams, weights = spectral_nodes(Spectrum.tophat(lam0, bandwidth), nodes)
+        return float(weights @ fit(lams))
 
     eta_ens = np.array([ensemble_eta(float(b)) for b in points])
     eta_lind = lindblad_etas(1.0)
@@ -308,6 +314,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
 
     md = _base_metadata(
         net, z_cm=z_cm, nodes=nodes, kappa_per_cm=kap, sensitivity=sensitivity,
+        ensemble_fit={"points": fit.points, "tail": fit.tail},
         measured_reference={
             # bench measurement on the device this model describes
             "enaqt_percent": 7.6, "enaqt_uncertainty_percent": 1.2,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -294,6 +295,7 @@ def config_from_dict(raw: Dict) -> RunConfig:
         numerics=_parse_simple(numerics_block, NumericsConfig, "numerics"),
     )
     _check_grids(config)
+    _check_bands(config)
     return config
 
 
@@ -321,6 +323,28 @@ def _check_grids(config: RunConfig) -> None:
     if config.numerics.ensemble_nodes < 1:
         raise ConfigError("numerics.ensemble_nodes",
                           f"must be >= 1, got {config.numerics.ensemble_nodes}")
+
+
+def _check_bands(config: RunConfig) -> None:
+    """Reject a band the runs cannot sample: each edge of the sweep's widest
+    tophat and of a tophat or gaussian spectrum must be a finite positive
+    wavelength at which the coupling scale is finite.  The long edge runs
+    off to infinity as a tophat's full width nears 2 lambda0."""
+    disp = config.network.dispersion
+    bands = [("experiment.bandwidth_max_nm",
+              Spectrum.tophat(disp.lambda0_nm, config.experiment.bandwidth_max_nm))]
+    if config.spectrum.shape in ("tophat", "gaussian"):
+        bands.append(("spectrum.fwhm_nm", config.spectrum))
+    for key, spectrum in bands:
+        for edge in spectrum.band_edges_nm:
+            try:
+                ok = math.isfinite(edge) and math.isfinite(disp.coupling_scale(edge))
+            except OverflowError:
+                ok = False
+            if not ok:
+                reach = (f"{edge:.6g} nm, where the coupling scale is not finite"
+                         if math.isfinite(edge) else "zero frequency")
+                raise ConfigError(key, f"the band reaches {reach}; narrow the band")
 
 
 def parse_config(path) -> RunConfig:

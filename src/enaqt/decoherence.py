@@ -5,7 +5,8 @@ noise: each wavelength propagates coherently, but a wavelength-blind
 intensity measurement traces the wavelength out, leaving a mixed state.
 This module quantifies that mechanism (g1 envelope, decoherence strength
 gamma as the inverse optical coherence length) and implements the ensemble
-average itself.
+average itself, directly (``ensemble_average``) or through one Chebyshev
+fit of the coherent efficiency over a band (``band_fit``).
 
 Unit bookkeeping is the hazard here.  Rates and propagation constants are
 cm^-1, distances cm, wavelengths nm at the interface; delays tau are in
@@ -31,15 +32,32 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .lattice import NetworkSpec, build_hamiltonian
-from .propagate import _initial_amplitudes, _unitary_amplitudes
+from .propagate import NumericalError, _initial_amplitudes, _unitary_amplitudes
 from .units import C_LIGHT_CM_PER_S, nm_to_cm
 
 SPECTRUM_SHAPES = ("tophat", "gaussian", "delta", "discrete")
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+# band fit of eta_coh: first size, largest size, and the absolute bound on
+# the trailing quarter of its Chebyshev coefficients
+FIT_FIRST_POINTS = 17
+FIT_MAX_POINTS = 4097
+FIT_TAIL = 1e-14
+
+
+def _angular_frequency(wavelength_nm):
+    """Angular frequency (rad/s) of a vacuum wavelength in nm."""
+    return 2.0 * math.pi * C_LIGHT_CM_PER_S / nm_to_cm(wavelength_nm)
+
+
+def _wavelength_nm(omega):
+    """Vacuum wavelength (nm) of an angular frequency in rad/s."""
+    return 2.0 * math.pi * C_LIGHT_CM_PER_S / omega / 1e-7
 
 
 @dataclass(frozen=True)
@@ -103,13 +121,31 @@ class Spectrum:
     @property
     def center_angular_frequency(self) -> float:
         """Central angular frequency in rad/s."""
-        return 2.0 * math.pi * C_LIGHT_CM_PER_S / nm_to_cm(self.center_nm)
+        return _angular_frequency(self.center_nm)
 
     @property
     def angular_width(self) -> float:
         """Angular-frequency width matching fwhm_nm (rad/s)."""
         return (2.0 * math.pi * C_LIGHT_CM_PER_S * nm_to_cm(self.fwhm_nm)
                 / nm_to_cm(self.center_nm) ** 2)
+
+    @property
+    def half_band(self) -> float:
+        """Half-width (rad/s) of the angular band about the center that the
+        quadrature samples: the whole tophat, the gaussian to +-5 sigma."""
+        if self.shape == "discrete":
+            raise ValueError("a discrete spectrum has lines, not a band")
+        if self.shape == "gaussian":
+            return 5.0 * (self.angular_width * _FWHM_TO_SIGMA)
+        return 0.5 * self.angular_width
+
+    @property
+    def band_edges_nm(self) -> Tuple[float, float]:
+        """Shortest and longest wavelength (nm) of that band; the longest is
+        inf once the band reaches zero frequency."""
+        w0, half = self.center_angular_frequency, self.half_band
+        return _wavelength_nm(w0 + half), (_wavelength_nm(w0 - half) if half < w0
+                                           else math.inf)
 
     @property
     def is_monochromatic(self) -> bool:
@@ -137,7 +173,7 @@ def g1(spectrum: Spectrum, tau: float) -> complex:
     """
     if spectrum.shape == "discrete":
         return complex(sum(
-            w * np.exp(-1j * 2.0 * math.pi * C_LIGHT_CM_PER_S / nm_to_cm(l) * tau)
+            w * np.exp(-1j * _angular_frequency(l) * tau)
             for l, w in spectrum.lines))
     carrier = np.exp(-1j * spectrum.center_angular_frequency * tau)
     if spectrum.is_monochromatic:
@@ -261,17 +297,105 @@ def spectral_nodes(spectrum: Spectrum, nodes: int) -> Tuple[np.ndarray, np.ndarr
 
     w0 = spectrum.center_angular_frequency
     x, w = leggauss(nodes)
+    omegas = w0 + spectrum.half_band * x
     if spectrum.shape == "tophat":
-        omegas = w0 + 0.5 * spectrum.angular_width * x
         weights = w / np.sum(w)
     else:  # gaussian
         sigma = spectrum.angular_width * _FWHM_TO_SIGMA
-        omegas = w0 + 5.0 * sigma * x
         density = np.exp(-0.5 * ((omegas - w0) / sigma) ** 2)
         weights = w * density
         weights = weights / np.sum(weights)
-    lams = 2.0 * math.pi * C_LIGHT_CM_PER_S / omegas / 1e-7  # back to nm
-    return lams, weights
+    return _wavelength_nm(omegas), weights
+
+
+@dataclass(frozen=True, eq=False)
+class BandFit:
+    """Chebyshev interpolant of the coherent efficiency eta_coh(omega) on
+    the angular band ``center +- half_width`` (rad/s).
+
+    Called on wavelengths (nm) inside the band, it returns the interpolant
+    there.  ``tail`` is the largest coefficient of the trailing quarter:
+    the size of what the fit leaves out.
+    """
+
+    center: float
+    half_width: float
+    coeffs: np.ndarray
+    tail: float
+
+    @property
+    def points(self) -> int:
+        """Chebyshev points sampled, one coherent run each."""
+        return int(self.coeffs.size)
+
+    def __call__(self, wavelengths_nm) -> np.ndarray:
+        offsets = _angular_frequency(np.asarray(wavelengths_nm, dtype=float)) - self.center
+        x = offsets / self.half_width if self.half_width else offsets
+        if np.any(np.abs(x) > 1.0 + 1e-9):
+            raise ValueError("wavelength outside the fitted band")
+        return chebval(x, self.coeffs)
+
+
+def _lobatto(n: int) -> np.ndarray:
+    """Chebyshev-Lobatto points cos(pi j / (n - 1)), j = 0..n-1, in the
+    sine form that keeps them symmetric and puts the middle one at 0."""
+    m = n - 1
+    return np.sin(0.5 * math.pi * np.arange(m, -m - 1, -2) / m)
+
+
+def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through values at
+    ``_lobatto`` points, by an FFT of the even extension (a DCT-I)."""
+    m = values.size - 1
+    coeffs = np.fft.rfft(np.concatenate((values, values[m - 1:0:-1]))).real / m
+    coeffs[0] *= 0.5
+    coeffs[m] *= 0.5
+    return coeffs
+
+
+def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit:
+    """Fit eta_coh = 1 - sum_system |psi(z)|^2 over the spectrum's band.
+
+    Samples eta at Chebyshev-Lobatto points in angular frequency, one
+    coherent run each, and goes from n to 2n - 1 points, running only the
+    new odd-index ones, until the trailing quarter of the Chebyshev
+    coefficients is below ``FIT_TAIL`` (size chosen as in Aurentz and
+    Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).  eta is
+    a probability, so the bound is absolute, and eta = 0 stops at the
+    first size.  A fit that would need more than ``FIT_MAX_POINTS``
+    points, or a non-finite eta, raises NumericalError.  A band of zero
+    width is the single run at its center.
+    """
+    amps0 = _initial_amplitudes(psi0, net.dimension)
+    zs = np.array([z_cm], dtype=float)
+    w0, half = spectrum.center_angular_frequency, spectrum.half_band
+
+    def eta(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size)
+        for k, lam in enumerate(_wavelength_nm(w0 + half * x)):
+            amps = _unitary_amplitudes(build_hamiltonian(net, float(lam)), amps0, zs)[0]
+            out[k] = 1.0 - float(np.sum(np.abs(amps[: net.n_sites]) ** 2))
+        if not np.all(np.isfinite(out)):
+            raise NumericalError("coherent efficiency is not finite in the band")
+        return out
+
+    if half == 0.0:
+        return BandFit(w0, 0.0, eta(np.zeros(1)), 0.0)
+    n = FIT_FIRST_POINTS
+    values = eta(_lobatto(n))
+    while True:
+        coeffs = _lobatto_coefficients(values)
+        tail = float(np.abs(coeffs[n - n // 4:]).max())
+        if tail < FIT_TAIL:
+            return BandFit(w0, half, coeffs, tail)
+        if 2 * n - 1 > FIT_MAX_POINTS:
+            raise NumericalError(
+                f"band fit of eta_coh not converged at {n} points "
+                f"(tail {tail:.1e}, bound {FIT_TAIL:.0e})")
+        grown = np.empty(2 * n - 1)
+        grown[0::2] = values
+        grown[1::2] = eta(_lobatto(2 * n - 1)[1::2])
+        n, values = 2 * n - 1, grown
 
 
 @dataclass(eq=False)

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from enaqt import decoherence
 from enaqt import (AmplitudeState, DispersionModel, HamiltonianMatrix, Spectrum,
                    build_hamiltonian, dark_state_diagnostics, efficiency, enaqt4_network,
                    enaqt_map, enaqt_metric, ensemble_average, evolve_trapped,
@@ -229,6 +231,75 @@ def test_ensemble_is_weighted_sum_of_coherent_sweep(design_net):
     ens = ensemble_average(design_net, spectrum, psi0, 15.0, nodes=41)
     coherent = sweep_wavelength(design_net, lams, 15.0).column("efficiency")
     assert abs(ens.trapped_fraction - float(weights @ coherent)) < 1e-12
+
+
+DEFAULT_BANDWIDTHS = 5.0 * np.arange(20)  # the bundled 0..95 nm grid
+
+
+@pytest.fixture(scope="module")
+def direct_ensembles(design_net):
+    psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)
+    return np.array([
+        ensemble_average(design_net, Spectrum.tophat(LAMBDA0, float(b)), psi0, 15.0,
+                         nodes=41).trapped_fraction for b in DEFAULT_BANDWIDTHS])
+
+
+def _fit_gap(net, direct):
+    res = sweep_bandwidth(net, DEFAULT_BANDWIDTHS, 15.0, nodes=41, sensitivity=0.0)
+    gap = float(np.max(np.abs(res.column("efficiency_ensemble") - direct)))
+    return gap, res.metadata["ensemble_fit"]
+
+
+def test_band_fit_matches_direct_ensembles(design_net, direct_ensembles):
+    gap, fit = _fit_gap(design_net, direct_ensembles)
+    assert gap < 1e-12
+    assert fit["tail"] < decoherence.FIT_TAIL
+    assert decoherence.FIT_FIRST_POINTS < fit["points"] <= decoherence.FIT_MAX_POINTS
+
+
+def test_band_fit_stopped_early_misses_the_bound(design_net, direct_ensembles,
+                                                 monkeypatch):
+    # the bound above can fail: a fit cut off at 33 points is too coarse
+    monkeypatch.setattr(decoherence, "FIT_FIRST_POINTS", 33)
+    monkeypatch.setattr(decoherence, "FIT_TAIL", math.inf)
+    gap, fit = _fit_gap(design_net, direct_ensembles)
+    assert fit["points"] == 33
+    assert gap > 1e-12
+
+
+def test_band_fit_runs_each_point_once(design_net, monkeypatch):
+    # doubling nests the points: the runs of one sweep are the fit's points
+    calls = []
+    kernel = decoherence._unitary_amplitudes
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(decoherence, "_unitary_amplitudes", counting)
+    res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 15.0, nodes=41,
+                          sensitivity=0.0)
+    assert len(calls) == res.metadata["ensemble_fit"]["points"]
+    assert len(calls) > decoherence.FIT_FIRST_POINTS
+
+
+def test_band_fit_degenerate_cases(design_net):
+    # zero bandwidth only: one coherent run, the reference row itself
+    psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)
+    res = sweep_bandwidth(design_net, [0.0], 15.0, nodes=41, sensitivity=0.0)
+    assert res.metadata["ensemble_fit"] == {"points": 1, "tail": 0.0}
+    assert res.column("enaqt_ensemble")[0] == 0.0
+    center = ensemble_average(design_net, Spectrum.delta(LAMBDA0), psi0, 15.0)
+    assert res.column("efficiency_ensemble")[0] == pytest.approx(
+        center.trapped_fraction, abs=1e-15)
+    # z = 0: eta is zero to rounding everywhere, so the first size is enough
+    fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 95.0), psi0, 0.0)
+    assert fit.points == decoherence.FIT_FIRST_POINTS
+    lams, _ = spectral_nodes(Spectrum.tophat(LAMBDA0, 95.0), 41)
+    assert np.max(np.abs(fit(lams))) < 1e-14
+    # the fit does not extrapolate
+    with pytest.raises(ValueError, match="outside the fitted band"):
+        fit([LAMBDA0 + 60.0])
 
 
 def test_enaqt_map_structure(design_net):

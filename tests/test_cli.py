@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import enaqt
-from enaqt import propagate
+from enaqt import decoherence, propagate
 from enaqt.cli import main
 from enaqt.config import bundled_network_path, default_config_dict
 
@@ -176,6 +176,14 @@ def test_failed_eigendecomposition_exits_3(tmp_path, monkeypatch, capsys, comman
     ("sweep-wavelength", {"experiment.wavelength_min_nm": 800.1,
                           "experiment.wavelength_max_nm": 800.3}),
     ("simulate", {"experiment.z_cm": math.inf}),
+    # bands whose long edge has no finite coupling scale: near 2.5e5 nm at
+    # 1580 nm, zero frequency from 1585 nm (2 lambda0) on, and zero frequency
+    # for the +-5 sigma of a 400 nm gaussian
+    ("sweep-bandwidth", {"experiment.bandwidth_max_nm": 1580.0}),
+    ("sweep-bandwidth", {"experiment.bandwidth_max_nm": 1600.0}),
+    ("check", {"spectrum.fwhm_nm": 1580.0}),
+    ("check", {"spectrum.fwhm_nm": 1600.0}),
+    ("check", {"spectrum.fwhm_nm": 400.0, "spectrum.shape": "gaussian"}),
 ])
 def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     raw = default_config_dict()
@@ -188,6 +196,16 @@ def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     assert main([command, str(p), "--output-dir", str(out)]) == 2
     assert next(iter(updates)) in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+def test_unconverged_band_fit_exits_3_without_csv(tmp_path, monkeypatch, capsys):
+    # the bundled sweep needs 129 points; a cap of 17 cannot hold them
+    monkeypatch.setattr(decoherence, "FIT_MAX_POINTS", 17)
+    out = tmp_path / "out"
+    assert main(["sweep-bandwidth", str(bundled_network_path()),
+                 "--output-dir", str(out)]) == 3
+    assert "band fit of eta_coh not converged at 17 points" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["simulate", "map", "sweep-wavelength"])
@@ -238,6 +256,10 @@ def test_sweep_bandwidth_subcommand(tmp_path):
     assert len(lines) == 1 + 3  # bandwidths 0, 20, 40
     manifest = json.loads((out / "bandwidth_sweep_manifest.json").read_text())
     assert manifest["metadata"]["measured_reference"]["enaqt_percent"] == 7.6
+    fit = manifest["metadata"]["ensemble_fit"]
+    assert set(fit) == {"points", "tail"}
+    assert decoherence.FIT_FIRST_POINTS <= fit["points"] <= decoherence.FIT_MAX_POINTS
+    assert fit["tail"] < 1e-14
 
 
 def test_calibrate_subcommand(tmp_path, capsys):
