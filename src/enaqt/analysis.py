@@ -23,12 +23,14 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .calibration import effective_trap_rate
-from .decoherence import Spectrum, band_fit, decoherence_strength, spectral_nodes
+from .decoherence import (Spectrum, band_fit, coherent_efficiency, decoherence_strength,
+                          spectral_nodes)
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
-from .propagate import (AmplitudeState, EvolutionTrace, evolve_lindblad,
-                        evolve_unitary)
+from .propagate import AmplitudeState, EvolutionTrace, _eigh, evolve_lindblad
 
 DARK_OVERLAP_THRESHOLD = 1e-12
+# reference efficiencies below this have trapped nothing yet but rounding
+ENHANCEMENT_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def dark_state_diagnostics(h: HamiltonianMatrix, target: int,
         raise ValueError("diagnostics expect the system block only; strip the sink first")
     if not 0 <= target < h.dimension or not 0 <= input_site < h.dimension:
         raise ValueError("target or input site out of range")
-    energies, modes = np.linalg.eigh(h.entries)
+    energies, modes = _eigh(h.entries)
     overlaps = np.abs(modes[target, :]) ** 2
     dark = np.nonzero(overlaps < threshold)[0]
     bound = 1.0 - float(np.sum(np.abs(modes[input_site, dark]) ** 2))
@@ -192,6 +194,15 @@ def network_fingerprint(net: NetworkSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _relative_enhancement(etas, base) -> np.ndarray:
+    """(etas - base) / base, and 0 wherever |base| < ``ENHANCEMENT_FLOOR``:
+    relative to a reference that has trapped nothing, the ratio would be
+    rounding divided by rounding."""
+    etas, base = np.asarray(etas, dtype=float), np.asarray(base, dtype=float)
+    empty = np.abs(base) < ENHANCEMENT_FLOOR
+    return np.where(empty, 0.0, (etas - base) / np.where(empty, 1.0, base))
+
+
 def _base_metadata(net: NetworkSpec, **extra) -> Dict:
     md = {"network_sha": network_fingerprint(net), "engine_version": _version}
     md.update(extra)
@@ -214,7 +225,8 @@ def sweep_wavelength(net: NetworkSpec, wavelengths_nm: Sequence[float],
                      z_cm: float) -> SweepResult:
     """Coherent transport efficiency versus illumination wavelength.
 
-    One explicit-sink run per wavelength.  With dispersive detunings and
+    Every wavelength's explicit-sink run comes from one batched propagator
+    call (``coherent_efficiency``).  With dispersive detunings and
     couplings the efficiency dips where the detuning matches the coupling;
     the dip converges onto that wavelength as z grows, while at short z the
     shallow minimum can sit a few nm off-center (the quasi-dark mode there
@@ -222,8 +234,7 @@ def sweep_wavelength(net: NetworkSpec, wavelengths_nm: Sequence[float],
     """
     lams = np.asarray(wavelengths_nm, dtype=float)
     psi0 = AmplitudeState.site(net.dimension, net.input_site)
-    etas = np.array([evolve_unitary(build_hamiltonian(net, float(l)), psi0, [z_cm])
-                     .sink_population[-1] for l in lams])
+    etas = coherent_efficiency(net, lams, psi0, z_cm)
     return SweepResult(
         kind="wavelength-sweep",
         columns={"wavelength_nm": lams, "efficiency": etas},
@@ -282,7 +293,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
         if b else 0.0 for b in points])
 
     def enhancement(etas: np.ndarray) -> np.ndarray:
-        return (etas[rows] - etas[ref]) / etas[ref]
+        return _relative_enhancement(etas[rows], etas[ref])
 
     def lindblad_etas(scale: float) -> np.ndarray:
         grid = enaqt_map(_scale_detuning(net, scale), [0.0, z_cm], scale * gammas, kap)
@@ -362,8 +373,7 @@ def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[fl
         base = etas[np.nonzero(gammas == 0.0)[0][0]]
     else:
         base = column(0.0)
-    denom = np.where(np.abs(base) < 1e-15, 1.0, base)
-    enhancement = np.where(np.abs(base) < 1e-15, 0.0, (etas - base[None, :]) / denom)
+    enhancement = _relative_enhancement(etas, base[None, :])
 
     gg, zz = np.meshgrid(gammas, zs, indexing="ij")
     return SweepResult(

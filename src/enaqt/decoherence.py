@@ -35,8 +35,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
-from .lattice import NetworkSpec, build_hamiltonian
-from .propagate import NumericalError, _initial_amplitudes, _unitary_amplitudes
+from .lattice import NetworkSpec
+from .propagate import NumericalError, _initial_amplitudes, _wavelength_amplitudes
 from .units import C_LIGHT_CM_PER_S, nm_to_cm
 
 SPECTRUM_SHAPES = ("tophat", "gaussian", "delta", "discrete")
@@ -353,6 +353,14 @@ def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def coherent_efficiency(net: NetworkSpec, wavelengths_nm, psi0, z_cm: float) -> np.ndarray:
+    """eta_coh(lambda) = 1 - sum_system |psi(lambda, z)|^2 at each wavelength:
+    the light one coherent run with the explicit sink has trapped by z."""
+    amps = _initial_amplitudes(psi0, net.dimension)
+    rows = _wavelength_amplitudes(net, wavelengths_nm, amps, z_cm)
+    return 1.0 - np.sum(np.abs(rows[:, : net.n_sites]) ** 2, axis=1)
+
+
 def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit:
     """Fit eta_coh = 1 - sum_system |psi(z)|^2 over the spectrum's band.
 
@@ -363,21 +371,13 @@ def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit
     Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).  eta is
     a probability, so the bound is absolute, and eta = 0 stops at the
     first size.  A fit that would need more than ``FIT_MAX_POINTS``
-    points, or a non-finite eta, raises NumericalError.  A band of zero
-    width is the single run at its center.
+    points raises NumericalError.  A band of zero width is the single run
+    at its center.
     """
-    amps0 = _initial_amplitudes(psi0, net.dimension)
-    zs = np.array([z_cm], dtype=float)
     w0, half = spectrum.center_angular_frequency, spectrum.half_band
 
     def eta(x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.size)
-        for k, lam in enumerate(_wavelength_nm(w0 + half * x)):
-            amps = _unitary_amplitudes(build_hamiltonian(net, float(lam)), amps0, zs)[0]
-            out[k] = 1.0 - float(np.sum(np.abs(amps[: net.n_sites]) ** 2))
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("coherent efficiency is not finite in the band")
-        return out
+        return coherent_efficiency(net, _wavelength_nm(w0 + half * x), psi0, z_cm)
 
     if half == 0.0:
         return BandFit(w0, 0.0, eta(np.zeros(1)), 0.0)
@@ -423,21 +423,14 @@ def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
                      nodes: int = 41) -> EnsembleResult:
     """Trace out the wavelength: average coherent runs over the spectrum.
 
-    Builds H(lambda_k) at each quadrature node, evolves ``psi0`` unitarily
-    (explicit sink and all) to ``z_cm`` with the coherent propagator that
-    ``evolve_unitary`` uses, and accumulates the weighted
-    mixture of the resulting pure states.  Node results are reduced in a
-    fixed index order so the outcome does not depend on how callers
-    schedule the work.
+    Evolves ``psi0`` unitarily (explicit sink and all) to ``z_cm`` at every
+    quadrature node at once, with the batched wavelength propagator that
+    the wavelength sweep and ``band_fit`` use, and accumulates the weighted
+    mixture of the resulting pure states in a fixed node order.
     """
     lams, weights = spectral_nodes(spectrum, nodes)
-    dim = net.dimension
-    amps0 = _initial_amplitudes(psi0, dim)
-
-    zs = np.array([z_cm], dtype=float)
-    states = np.empty((lams.size, dim), dtype=complex)
-    for k, lam in enumerate(lams):
-        states[k] = _unitary_amplitudes(build_hamiltonian(net, float(lam)), amps0, zs)[0]
+    amps0 = _initial_amplitudes(psi0, net.dimension)
+    states = _wavelength_amplitudes(net, lams, amps0, z_cm)
 
     rho = np.einsum("k,ki,kj->ij", weights, states, states.conj())
     return EnsembleResult(

@@ -101,9 +101,13 @@ class NetworkSpec:
                            tuple((int(s), float(d)) for s, d in self.site_detunings))
         object.__setattr__(self, "couplings",
                            tuple((int(i), int(j), float(c)) for i, j, c in self.couplings))
+        detuned = set()
         for s, _ in self.site_detunings:
             if not 0 <= s < self.n_sites:
                 raise ValueError(f"detuning site {s} out of range for {self.n_sites} sites")
+            if s in detuned:
+                raise ValueError(f"detuning site {s} listed more than once")
+            detuned.add(s)
         seen = set()
         for i, j, c in self.couplings:
             if i == j:
@@ -188,38 +192,53 @@ def enaqt4_network(c: float = 1.0,
     )
 
 
+def hamiltonian_parts(net: NetworkSpec,
+                      include_sink: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    """The wavelength-independent parts of ``net``'s Hamiltonian.
+
+    Returns the site detunings D (a vector) and the coupling matrix A (all
+    couplings, sink chain included, zero diagonal), so that at wavelength
+    lambda, with d and c the dispersion's detuning and coupling scales,
+
+        H(lambda) = beta0 I + d(lambda) diag(D) + c(lambda) A.
+
+    Every Hamiltonian of the package has this form.  Sink guides sit at the
+    reference propagation constant and inherit the coupling dispersion of
+    the system guides.
+    """
+    with_sink = include_sink and net.sink is not None
+    dim = net.dimension if with_sink else net.n_sites
+    detunings = np.zeros(dim)
+    for s, d in net.site_detunings:
+        detunings[s] = d
+    couplings = np.zeros((dim, dim))
+    for i, j, c in net.couplings:
+        couplings[i, j] = couplings[j, i] = c
+    if with_sink:
+        sink = net.sink
+        first = net.n_sites
+        couplings[net.target_site, first] = couplings[first, net.target_site] = \
+            sink.c_trap_per_cm
+        for k in range(first, dim - 1):
+            couplings[k, k + 1] = couplings[k + 1, k] = sink.c_sink_per_cm
+    return detunings, couplings
+
+
 def build_hamiltonian(net: NetworkSpec, wavelength_nm: float,
                       include_sink: bool = True) -> HamiltonianMatrix:
-    """Assemble the tight-binding matrix of ``net`` at one wavelength.
+    """Assemble the tight-binding matrix of ``net`` at one wavelength from
+    its ``hamiltonian_parts``.
 
     The global propagation constant enters only as a uniform diagonal
     offset (beta0, default 0); populations depend on detuning differences
-    alone.  Sink guides sit at the reference propagation constant and
-    inherit the coupling dispersion of the system guides.
+    alone.
     """
     if wavelength_nm <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
     disp = net.dispersion
-    with_sink = include_sink and net.sink is not None
-    dim = net.dimension if with_sink else net.n_sites
-    h = np.zeros((dim, dim))
-
-    np.fill_diagonal(h, disp.beta0_per_cm)
-    dscale = disp.detuning_scale(wavelength_nm)
-    for s, d in net.site_detunings:
-        h[s, s] += d * dscale
-
-    cscale = disp.coupling_scale(wavelength_nm)
-    for i, j, c in net.couplings:
-        h[i, j] = h[j, i] = c * cscale
-
-    if with_sink:
-        sink = net.sink
-        first = net.n_sites
-        h[net.target_site, first] = h[first, net.target_site] = sink.c_trap_per_cm * cscale
-        for k in range(first, dim - 1):
-            h[k, k + 1] = h[k + 1, k] = sink.c_sink_per_cm * cscale
-
+    detunings, couplings = hamiltonian_parts(net, include_sink)
+    h = disp.coupling_scale(wavelength_nm) * couplings
+    np.fill_diagonal(h, disp.beta0_per_cm + disp.detuning_scale(wavelength_nm) * detunings)
     return HamiltonianMatrix(h, wavelength_nm, net.n_sites)
 
 

@@ -15,7 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
+from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian, hamiltonian_parts
+
+# Chebyshev series of exp(-iHz): terms whose Bessel weight |J_k(a z)| is below
+# this at every wavelength of a batch are left out
+SERIES_TOL = 1e-16
+# past this a z (~a z terms), one eigendecomposition per wavelength is cheaper
+SERIES_MAX_ARGUMENT = 1000.0
 
 
 class NumericalError(RuntimeError):
@@ -150,17 +156,138 @@ def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     return _trace(h, zs, np.abs(_unitary_amplitudes(h, amps, zs)) ** 2)
 
 
+def _eigh(matrix: np.ndarray):
+    """np.linalg.eigh of a real-symmetric matrix; a failure is a NumericalError."""
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
 def _unitary_amplitudes(h: HamiltonianMatrix, amps: np.ndarray,
                         zs: np.ndarray) -> np.ndarray:
     """Rows psi(z) = exp(-iHz) amps for each z, from one eigendecomposition
-    of the real-symmetric H: the one coherent propagator of the package."""
-    try:
-        energies, modes = np.linalg.eigh(h.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    of the real-symmetric H: the propagator of one Hamiltonian over a z grid."""
+    energies, modes = _eigh(h.entries)
     coeffs = modes.conj().T @ amps
     phases = np.exp(-1j * np.outer(zs, energies))
     return (modes @ (phases * coeffs).T).T
+
+
+def _bessel_j(x: np.ndarray) -> np.ndarray:
+    """Rows J_k(x), k = 0, 1, ..., for each x >= 0, by Miller's backward
+    recurrence J_(k-1) = (2k/x) J_k - J_(k+1), started for each x alone at
+    an order far enough above x that J_k is below ``SERIES_TOL`` long
+    before, rescaled on the way down and normalised by J_0 + 2 sum J_2k = 1.
+    Values below ``SERIES_TOL`` are set to 0, so a column does not depend on
+    the other x of the call.  An x below ``SERIES_TOL`` gives J_0 = 1 alone."""
+    zero = x < SERIES_TOL
+    starts = np.where(zero, 0, (x + 15.0 * np.cbrt(x)).astype(int) + 30)
+    table = np.zeros((int(starts.max()) + 2, x.size))
+    two_over_x = 2.0 / np.where(zero, 1.0, x)
+    for k in range(int(starts.max()), 0, -1):
+        table[k, starts == k] = 1.0
+        table[k - 1] = k * two_over_x * table[k] - table[k + 1]
+        big = np.abs(table[k - 1]) > 1e150
+        if big.any():
+            table[k - 1:, big] *= 1e-150
+    table[0, zero] = 1.0
+    table /= table[0] + 2.0 * table[2::2].sum(axis=0)
+    table[np.abs(table) < SERIES_TOL] = 0.0
+    return table
+
+
+def _series_weights(x: np.ndarray) -> np.ndarray:
+    """Rows w_k, one column per x = a z, with
+    exp(-i x t) = sum_even-k w_k T_k(t) - i sum_odd-k w_k T_k(t) on [-1, 1]:
+    w_k = (2 - delta_k0) (-1)^(k // 2) J_k(x), up to the last nonzero row."""
+    bessel = _bessel_j(x)
+    n_terms = int(np.nonzero(bessel.any(axis=1))[0][-1]) + 1
+    weights = bessel[:n_terms] * np.where(np.arange(n_terms) % 4 < 2, 2.0, -2.0)[:, None]
+    weights[0] *= 0.5
+    return weights
+
+
+def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
+                           z: float) -> np.ndarray:
+    """Rows psi(lambda) = exp(-iH(lambda)z) amps for each wavelength of
+    ``lams`` at one z: the propagator of wavelength sweeps and ensembles.
+
+    Every H(lambda) is beta0 I + d(lambda) diag(D) + c(lambda) A
+    (``hamiltonian_parts``).  With each wavelength's spectrum inside
+    [e - a, e + a] (Gershgorin discs), exp(-iHz) is expanded as
+    exp(-iez) sum_k (2 - delta_k0) (-i)^k J_k(az) T_k((H - e)/a)
+    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984), up to the last order
+    whose Bessel weight reaches ``SERIES_TOL`` at some wavelength.  The
+    three-term recurrence of T_k runs on one real block holding every
+    wavelength's column (real and imaginary parts for complex amps), so each
+    term is one matrix product with A shared by all wavelengths.  The term
+    count grows with a z, so a wavelength with a z above
+    ``SERIES_MAX_ARGUMENT`` goes through ``_unitary_amplitudes`` instead.  A
+    non-finite result raises NumericalError.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if not z >= 0:
+        raise ValueError(f"z must be non-negative, got {z}")
+    disp = net.dispersion
+    detunings, couplings = hamiltonian_parts(net)
+    cscale = np.array([disp.coupling_scale(lam) for lam in lams])
+    # diagonal of H(lambda), one column per wavelength, and its Gershgorin discs
+    diagonal = disp.beta0_per_cm + np.outer(
+        detunings, [disp.detuning_scale(lam) for lam in lams])
+    radius = np.abs(couplings).sum(axis=1)
+    lo = (diagonal - np.outer(radius, cscale)).min(axis=0)
+    hi = (diagonal + np.outer(radius, cscale)).max(axis=0)
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    long = half * z > SERIES_MAX_ARGUMENT
+    if long.any():
+        out = np.empty((lams.size, amps.size), dtype=complex)
+        out[long] = [_unitary_amplitudes(build_hamiltonian(net, lam), amps, [z])[0]
+                     for lam in lams[long]]
+        if not long.all():
+            out[~long] = _wavelength_amplitudes(net, lams[~long], amps, z)
+        return out
+
+    # 2 (H - e)/a v = shift * v + scale * (A v); a column per wavelength, or
+    # two (real, imaginary) for complex amps
+    parts = 2 if amps.imag.any() else 1
+    a = np.where(half > 0, half, 1.0)
+    diagonal -= center
+    diagonal *= 2.0 / a
+    shift = np.repeat(diagonal, parts, axis=1)
+    scale = np.repeat(2.0 * cscale / a, parts)
+    weights = np.repeat(_series_weights(half * z), parts, axis=1)
+    cur = np.repeat((amps if parts == 2 else amps.real)[:, None], lams.size, axis=1)
+    cur = cur.view(float)
+
+    even, odd = weights[0] * cur, np.zeros_like(cur)
+    prev, nxt, tmp = np.empty_like(cur), np.empty_like(cur), np.empty_like(cur)
+    for k in range(1, weights.shape[0]):
+        np.matmul(couplings, cur, out=tmp)
+        tmp *= scale
+        np.multiply(shift, cur, out=nxt)
+        nxt += tmp
+        if k == 1:
+            nxt *= 0.5
+        else:
+            nxt -= prev
+        np.multiply(weights[k], nxt, out=tmp)
+        total = odd if k % 2 else even
+        total += tmp
+        prev, cur, nxt = cur, nxt, prev
+
+    # psi = exp(-iez) (even - i odd)
+    if parts == 2:
+        psi = odd.view(complex)
+        psi *= -1j
+        psi += even.view(complex)
+    else:
+        psi = even.astype(complex)
+        np.negative(odd, out=psi.imag)
+    psi *= np.exp(-1j * center * z)
+    if not np.all(np.isfinite(psi)):
+        raise NumericalError("Chebyshev series of exp(-iHz) is not finite")
+    return psi.T
 
 
 def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:

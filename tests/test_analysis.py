@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,19 +269,21 @@ def test_band_fit_stopped_early_misses_the_bound(design_net, direct_ensembles,
 
 
 def test_band_fit_runs_each_point_once(design_net, monkeypatch):
-    # doubling nests the points: the runs of one sweep are the fit's points
-    calls = []
-    kernel = decoherence._unitary_amplitudes
+    # doubling nests the points: the wavelengths of one sweep are the fit's
+    # points, each handed to the propagator once
+    lams = []
+    kernel = decoherence._wavelength_amplitudes
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counting(net, wavelengths, amps, z):
+        lams.extend(np.asarray(wavelengths).tolist())
+        return kernel(net, wavelengths, amps, z)
 
-    monkeypatch.setattr(decoherence, "_unitary_amplitudes", counting)
+    monkeypatch.setattr(decoherence, "_wavelength_amplitudes", counting)
     res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 15.0, nodes=41,
                           sensitivity=0.0)
-    assert len(calls) == res.metadata["ensemble_fit"]["points"]
-    assert len(calls) > decoherence.FIT_FIRST_POINTS
+    assert len(lams) == res.metadata["ensemble_fit"]["points"]
+    assert len(set(lams)) == len(lams)
+    assert len(lams) > decoherence.FIT_FIRST_POINTS
 
 
 def test_band_fit_degenerate_cases(design_net):
@@ -300,6 +303,19 @@ def test_band_fit_degenerate_cases(design_net):
     # the fit does not extrapolate
     with pytest.raises(ValueError, match="outside the fitted band"):
         fit([LAMBDA0 + 60.0])
+
+
+def test_enhancements_are_zero_at_zero_length(design_net):
+    # nothing is trapped at z = 0: every enhancement is 0, not 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 0.0, nodes=21)
+        grid = enaqt_map(design_net, [0.0], [0.0, 0.01])
+    columns = [name for name in res.columns if name.startswith("enaqt_")]
+    assert len(columns) == 4
+    for name in columns:
+        assert np.all(res.column(name) == 0.0), name
+    assert np.all(grid.column("enhancement") == 0.0)
 
 
 def test_enaqt_map_structure(design_net):

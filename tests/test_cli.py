@@ -147,8 +147,7 @@ def test_unphysical_lindblad_output_exits_3_without_csv(tmp_path, monkeypatch,
     assert not list(out.glob("*.csv"))
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep-wavelength",
-                                     "sweep-bandwidth", "check"])
+@pytest.mark.parametrize("command", ["simulate", "check"])
 def test_failed_eigendecomposition_exits_3(tmp_path, monkeypatch, capsys, command):
     def failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -157,6 +156,36 @@ def test_failed_eigendecomposition_exits_3(tmp_path, monkeypatch, capsys, comman
     out = tmp_path / "out"
     assert main([command, str(small_config(tmp_path)), "--output-dir", str(out)]) == 3
     assert "eigendecomposition failed" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_failed_dark_mode_eigendecomposition_exits_3(tmp_path, monkeypatch, capsys):
+    # only the 4-guide system block fails: the dark-mode census, after the
+    # other checks of `check` have passed
+    eigh = np.linalg.eigh
+
+    def failing_on_4x4(a):
+        if np.shape(a) == (4, 4):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_on_4x4)
+    assert main(["check", str(small_config(tmp_path))]) == 3
+    captured = capsys.readouterr()
+    assert "eigendecomposition failed" in captured.err
+    assert captured.out.count("[PASS]") == 4
+
+
+@pytest.mark.parametrize("command", ["sweep-wavelength", "sweep-bandwidth"])
+def test_non_finite_series_exits_3_without_csv(tmp_path, monkeypatch, capsys, command):
+    # the wavelength propagator's Chebyshev weights turn non-finite
+    def nan_bessel(x):
+        return np.full((40, x.size), np.nan)
+
+    monkeypatch.setattr(propagate, "_bessel_j", nan_bessel)
+    out = tmp_path / "out"
+    assert main([command, str(small_config(tmp_path)), "--output-dir", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 

@@ -111,6 +111,8 @@ def test_network_validation_errors():
         NetworkSpec(n_sites=3, input_site=3)
     with pytest.raises(ValueError):
         NetworkSpec(n_sites=2, site_detunings=((5, 1.0),))
+    with pytest.raises(ValueError, match="listed more than once"):
+        NetworkSpec(n_sites=2, site_detunings=((1, 1.0), (1, 0.5)))
 
 
 def test_dispersion_validation():

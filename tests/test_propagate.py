@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enaqt import (AmplitudeState, DensityState, HamiltonianMatrix, SinkSpec,
-                   build_hamiltonian, enaqt4_network, evolve_lindblad,
-                   evolve_trapped, evolve_unitary, sink_no_return_check)
-from enaqt.propagate import NumericalError, _check_density_stack, _expm, _propagate
+from enaqt import (AmplitudeState, DensityState, DispersionModel, HamiltonianMatrix,
+                   NetworkSpec, SinkSpec, build_hamiltonian, bundled_network_path,
+                   enaqt4_network, evolve_lindblad, evolve_trapped, evolve_unitary,
+                   parse_config, sink_no_return_check, wavelength_grid)
+from enaqt import propagate
+from enaqt.lattice import DETUNING_LAWS
+from enaqt.propagate import (NumericalError, _check_density_stack, _expm, _propagate,
+                             _unitary_amplitudes, _wavelength_amplitudes)
 from conftest import DARK_VECTOR, LAMBDA0
 
 ZS = np.arange(0.0, 15.0 + 1e-9, 0.1)
@@ -298,6 +303,117 @@ def test_no_return_check_trivial_at_zero_length(design_net):
 def test_no_return_requires_explicit_sink(design_net_open):
     with pytest.raises(ValueError):
         sink_no_return_check(design_net_open, 15.0)
+
+
+# ---------------------------------------------------------------------------
+# batched wavelength propagator
+
+def _eigh_rows(net, lams, amps, z):
+    return np.array([_unitary_amplitudes(build_hamiltonian(net, float(lam)), amps,
+                                         np.array([z]))[0] for lam in lams])
+
+
+@pytest.fixture(scope="module")
+def bundled_sweep():
+    """The bundled network, its wavelength-sweep grid and z, the input state
+    and the per-wavelength eigendecomposition rows."""
+    config = parse_config(bundled_network_path())
+    net, exp = config.network, config.experiment
+    lams = wavelength_grid(net.dispersion.lambda0_nm, exp.wavelength_min_nm,
+                           exp.wavelength_max_nm, exp.wavelength_step_nm)
+    amps = _site(net.dimension, net.input_site).amplitudes
+    return net, lams, exp.z_cm, amps, _eigh_rows(net, lams, amps, exp.z_cm)
+
+
+def test_wavelength_amplitudes_match_eigh_on_bundled_sweep(bundled_sweep):
+    net, lams, z, amps, want = bundled_sweep
+    assert lams.size == 191
+    assert np.max(np.abs(_wavelength_amplitudes(net, lams, amps, z) - want)) < 1e-12
+
+
+def test_wavelength_amplitudes_loosened_truncation_misses(bundled_sweep, monkeypatch):
+    # the bound above can fail: a series cut at weight 1e-8 is too short
+    monkeypatch.setattr(propagate, "SERIES_TOL", 1e-8)
+    net, lams, z, amps, want = bundled_sweep
+    assert np.max(np.abs(_wavelength_amplitudes(net, lams, amps, z) - want)) > 1e-12
+
+
+def test_long_series_wavelengths_take_the_eigh_route(bundled_sweep, monkeypatch):
+    # a z spans 33 to 84 across the sweep: the long end is split off
+    net, lams, z, amps, want = bundled_sweep
+    monkeypatch.setattr(propagate, "SERIES_MAX_ARGUMENT", 70.0)
+    eigh, calls = np.linalg.eigh, []
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    got = _wavelength_amplitudes(net, lams, amps, z)
+    assert 0 < len(calls) < lams.size
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_wavelength_alone_matches_batch(bundled_sweep):
+    net, lams, z, amps, _ = bundled_sweep
+    batch = _wavelength_amplitudes(net, lams, amps, z)
+    alone = np.array([_wavelength_amplitudes(net, [lam], amps, z)[0] for lam in lams])
+    assert np.max(np.abs(alone - batch)) < 1e-15
+
+
+@st.composite
+def dispersive_networks(draw):
+    n = draw(st.integers(2, 6))
+    couplings = tuple((i, i + 1, draw(st.floats(0.2, 2.0))) for i in range(n - 1))
+    if n > 2 and draw(st.booleans()):
+        couplings += ((0, n - 1, draw(st.floats(-2.0, -0.2))),)
+    detuned = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    detunings = tuple((s, draw(st.floats(-2.0, 2.0).filter(bool))) for s in detuned)
+    dispersion = DispersionModel(
+        beta0_per_cm=draw(st.floats(-3.0, 3.0).filter(bool)),
+        detuning_law=draw(st.sampled_from(DETUNING_LAWS)),
+        coupling_slope_per_nm=draw(st.floats(-0.01, 0.01)))
+    sink = None
+    if draw(st.booleans()):
+        sink = SinkSpec(n_sink=draw(st.integers(1, 20)),
+                        c_trap_per_cm=draw(st.floats(0.2, 2.0)),
+                        c_sink_per_cm=draw(st.floats(0.5, 2.0)))
+    return NetworkSpec(n_sites=n, site_detunings=detunings, couplings=couplings,
+                       dispersion=dispersion, sink=sink, input_site=0, target_site=n - 1)
+
+
+@given(net=dispersive_networks(), z=st.floats(0.0, 30.0), complex_state=st.booleans(),
+       lams=st.lists(st.floats(700.0, 900.0), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_wavelength_amplitudes_match_eigh_random_networks(net, z, complex_state, lams):
+    if complex_state:
+        amps = np.exp(1j * np.arange(net.dimension)) / math.sqrt(net.dimension)
+    else:
+        amps = _site(net.dimension, net.input_site).amplitudes
+    got = _wavelength_amplitudes(net, lams, amps, z)
+    assert np.max(np.abs(got - _eigh_rows(net, lams, amps, z))) < 1e-12
+
+
+def test_wavelength_amplitudes_exact_without_spread(bundled_sweep):
+    net, lams, _, amps, _ = bundled_sweep
+    single = NetworkSpec(n_sites=1, site_detunings=((0, 0.7),),
+                         dispersion=DispersionModel(beta0_per_cm=2.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # z = 0: the identity at every wavelength
+        assert np.array_equal(_wavelength_amplitudes(net, lams, amps, 0.0),
+                              np.tile(amps, (lams.size, 1)))
+        # one guide, no couplings: zero spectral width, a phase alone
+        got = _wavelength_amplitudes(single, lams, np.array([1.0 + 0j]), 12.0)
+    want = [np.exp(-1j * build_hamiltonian(single, lam).entries[0, 0] * 12.0)
+            for lam in lams]
+    assert np.array_equal(got[:, 0], want)
+
+
+def test_wavelength_amplitudes_reject_negative_z(design_net):
+    amps = _site(design_net.dimension, 0).amplitudes
+    with pytest.raises(ValueError, match="non-negative"):
+        _wavelength_amplitudes(design_net, [LAMBDA0], amps, -1.0)
 
 
 # ---------------------------------------------------------------------------
