@@ -26,7 +26,7 @@ from .calibration import effective_trap_rate
 from .decoherence import (Spectrum, band_fit, coherent_efficiency, decoherence_strength,
                           spectral_nodes)
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
-from .propagate import AmplitudeState, EvolutionTrace, _eigh, evolve_lindblad
+from .propagate import AmplitudeState, EvolutionTrace, _eigh, _lindblad_runs
 
 DARK_OVERLAP_THRESHOLD = 1e-12
 # reference efficiencies below this have trapped nothing yet but rounding
@@ -176,11 +176,14 @@ class SweepResult:
         results serialize to identical bytes.
         """
         names = list(self.columns.keys())
+        cols = [np.asarray(self.columns[n], dtype=float) for n in names]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(names)
-            for row in zip(*(self.columns[n] for n in names)):
-                writer.writerow([repr(float(v)) for v in row])
+            # blocks of rows as Python floats, which csv writes as their
+            # repr (3.0, -0.0, 1e-300); a block at a time bounds the memory
+            for lo in range(0, self.n_rows, 256):
+                writer.writerows(zip(*(col[lo:lo + 256].tolist() for col in cols)))
 
     def efficiency_points(self, axis: str, z_cm: float) -> List[EfficiencyPoint]:
         """View an efficiency column as typed sweep samples."""
@@ -269,10 +272,13 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     fit over the widest band (``band_fit``) replaces the coherent runs:
     each ensemble efficiency is sum_k w_k fit(lambda_k) over that
     bandwidth's ``nodes`` Gauss-Legendre nodes, and the metadata records
-    the fit's size and tail as ``ensemble_fit``.  There is one gamma per
-    bandwidth, scaled with the detuning for the sensitivity runs (gamma is
-    proportional to it).  A zero bandwidth on the grid doubles as the
-    reference.
+    the fit's size and tail as ``ensemble_fit``; the fit is evaluated once,
+    on every bandwidth's nodes together.  There is one gamma per bandwidth,
+    scaled with the detuning for the sensitivity runs (gamma is proportional
+    to it), and every (detuning scale, gamma) run of the dephasing route is
+    one master-equation stack over z in {0, z_cm}, whose density margins the
+    metadata records as ``diagnostics.lindblad``.  A zero bandwidth on the
+    grid doubles as the reference.
     """
     bws = np.asarray(bandwidths_nm, dtype=float)
     if np.any(bws < 0):
@@ -295,37 +301,42 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     def enhancement(etas: np.ndarray) -> np.ndarray:
         return _relative_enhancement(etas[rows], etas[ref])
 
-    def lindblad_etas(scale: float) -> np.ndarray:
-        grid = enaqt_map(_scale_detuning(net, scale), [0.0, z_cm], scale * gammas, kap)
-        return grid.column("efficiency")[1::2]
-
     psi0 = AmplitudeState.site(net.dimension, net.input_site)
     fit = band_fit(net, Spectrum.tophat(lam0, float(points.max())), psi0, z_cm)
+    # every bandwidth's nodes through the fit at once; chebval is pointwise
+    quadratures = [spectral_nodes(Spectrum.tophat(lam0, float(b)), nodes) for b in points]
+    values = np.split(fit(np.concatenate([lams for lams, _ in quadratures])),
+                      np.cumsum([lams.size for lams, _ in quadratures])[:-1])
+    eta_ens = np.array([float(weights @ vals)
+                        for (_, weights), vals in zip(quadratures, values)])
 
-    def ensemble_eta(bandwidth: float) -> float:
-        lams, weights = spectral_nodes(Spectrum.tophat(lam0, bandwidth), nodes)
-        return float(weights @ fit(lams))
-
-    eta_ens = np.array([ensemble_eta(float(b)) for b in points])
-    eta_lind = lindblad_etas(1.0)
+    # every (detuning scale, gamma) pair in one stack of master-equation runs
+    # at z in {0, z_cm}; scaling every detuning by one factor keeps the most
+    # detuned site, so the dephasing site is the nominal network's
+    scales = (1.0, 1.0 - sensitivity, 1.0 + sensitivity) if sensitivity else (1.0,)
+    hams = [build_hamiltonian(_scale_detuning(net, s), lam0, include_sink=False)
+            for s in scales]
+    etas, margins = _lindblad_efficiencies(net, hams, [s * gammas for s in scales], kap,
+                                           [0.0, z_cm])
+    eta_lind = etas[:, 1].reshape(len(scales), points.size)
 
     columns = {
         "bandwidth_nm": bws,
         "gamma_per_cm": gammas[rows],
         "efficiency_ensemble": eta_ens[rows],
-        "efficiency_lindblad": eta_lind[rows],
+        "efficiency_lindblad": eta_lind[0][rows],
         "enaqt_ensemble": enhancement(eta_ens),
-        "enaqt_lindblad": enhancement(eta_lind),
+        "enaqt_lindblad": enhancement(eta_lind[0]),
     }
     if sensitivity:
-        e_lo = enhancement(lindblad_etas(1.0 - sensitivity))
-        e_hi = enhancement(lindblad_etas(1.0 + sensitivity))
+        e_lo, e_hi = enhancement(eta_lind[1]), enhancement(eta_lind[2])
         columns["enaqt_lindblad_low"] = np.minimum(e_lo, e_hi)
         columns["enaqt_lindblad_high"] = np.maximum(e_lo, e_hi)
 
     md = _base_metadata(
         net, z_cm=z_cm, nodes=nodes, kappa_per_cm=kap, sensitivity=sensitivity,
         ensemble_fit={"points": fit.points, "tail": fit.tail},
+        diagnostics={"lindblad": margins},
         measured_reference={
             # bench measurement on the device this model describes
             "enaqt_percent": 7.6, "enaqt_uncertainty_percent": 1.2,
@@ -345,34 +356,40 @@ def _scale_detuning(net: NetworkSpec, scale: float) -> NetworkSpec:
     return dataclasses.replace(net, site_detunings=detunings, dispersion=disp)
 
 
+def _lindblad_efficiencies(net: NetworkSpec, hams: Sequence[HamiltonianMatrix], rates,
+                           kappa: float, zs) -> Tuple[np.ndarray, Dict[str, float]]:
+    """Trapped fraction over ``zs`` of every master-equation run of one
+    stack, shape (runs, nz), from the input site with dephasing on
+    ``dephasing_site(net)``; row i of ``rates`` runs under ``hams[i]``.
+    Also the stack's density margins, for the manifest."""
+    rho0 = np.zeros((net.n_sites, net.n_sites), dtype=complex)
+    rho0[net.input_site, net.input_site] = 1.0
+    rhos, margins = _lindblad_runs(hams, rates, kappa, net.target_site,
+                                   dephasing_site(net), rho0, zs)
+    return 1.0 - np.real(np.einsum("rzii->rzi", rhos)).sum(axis=2), margins
+
+
 def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[float],
               kappa: Optional[float] = None) -> SweepResult:
     """Efficiency and enhancement over (z, gamma) with the dephasing model.
 
-    One master-equation integration per gamma covers the whole z column.
-    Enhancement is relative to the coherent (gamma = 0) column; rows where
-    the coherent efficiency is still zero report zero enhancement.
+    One master-equation run per gamma covers the whole z column, and every
+    gamma runs in one stack, with the coherent (gamma = 0) run added when
+    the grid lacks it.  Enhancement is relative to that coherent column;
+    rows where the coherent efficiency is still zero report zero
+    enhancement.  The metadata records the stack's density margins as
+    ``diagnostics.lindblad``.
     """
     zs = np.asarray(z_grid, dtype=float)
     gammas = np.asarray(gamma_grid, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gamma grid must be non-negative")
     kap = effective_kappa(net) if kappa is None else kappa
-    lam0 = net.dispersion.lambda0_nm
-    h_sys = build_hamiltonian(net, lam0, include_sink=False)
-    rho0 = np.zeros((net.n_sites, net.n_sites), dtype=complex)
-    rho0[net.input_site, net.input_site] = 1.0
-    deph_site = dephasing_site(net)
-
-    def column(gamma: float) -> np.ndarray:
-        return evolve_lindblad(h_sys, kap, net.target_site, gamma, deph_site, rho0,
-                               zs).sink_population
-
-    etas = np.array([column(float(g)) for g in gammas])  # (n_gamma, nz)
-    if 0.0 in gammas:
-        base = etas[np.nonzero(gammas == 0.0)[0][0]]
-    else:
-        base = column(0.0)
+    h_sys = build_hamiltonian(net, net.dispersion.lambda0_nm, include_sink=False)
+    rates = gammas if 0.0 in gammas else np.append(gammas, 0.0)
+    etas, margins = _lindblad_efficiencies(net, [h_sys], [rates], kap, zs)
+    base = etas[np.nonzero(rates == 0.0)[0][0]]
+    etas = etas[: gammas.size]  # (n_gamma, nz)
     enhancement = _relative_enhancement(etas, base[None, :])
 
     gg, zz = np.meshgrid(gammas, zs, indexing="ij")
@@ -385,5 +402,6 @@ def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[fl
             "enhancement": enhancement.ravel(),
         },
         metadata=_base_metadata(net, kappa_per_cm=kap,
-                                n_gamma=int(gammas.size), n_z=int(zs.size)),
+                                n_gamma=int(gammas.size), n_z=int(zs.size),
+                                diagnostics={"lindblad": margins}),
     )

@@ -185,9 +185,18 @@ def g1(spectrum: Spectrum, tau: float) -> complex:
     return complex(carrier * math.exp(-0.5 * (sigma * tau) ** 2))
 
 
+@functools.cache
+def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
+    count and read-only, so no caller can change a later call's."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_blocks(f, a: float, b: float, n_blocks: int, order: int = 24) -> float:
     """Composite Gauss-Legendre quadrature with fixed blocks (deterministic)."""
-    x, w = leggauss(order)
+    x, w = _leggauss(order)
     edges = np.linspace(a, b, n_blocks + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -296,7 +305,7 @@ def spectral_nodes(spectrum: Spectrum, nodes: int) -> Tuple[np.ndarray, np.ndarr
         return np.array([spectrum.center_nm]), np.array([1.0])
 
     w0 = spectrum.center_angular_frequency
-    x, w = leggauss(nodes)
+    x, w = _leggauss(nodes)
     omegas = w0 + spectrum.half_band * x
     if spectrum.shape == "tophat":
         weights = w / np.sum(w)

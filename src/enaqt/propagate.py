@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian, hamilton
 SERIES_TOL = 1e-16
 # past this a z (~a z terms), one eigendecomposition per wavelength is cheaper
 SERIES_MAX_ARGUMENT = 1000.0
+# runs of a stacked propagation step together in chunks holding at most this
+# many step matrices, which bounds the memory a call needs beyond its output
+STEP_STACK = 64
 
 
 class NumericalError(RuntimeError):
@@ -292,15 +295,36 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
 
 def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Rows exp(gen z) v for each z of a non-decreasing grid from z >= 0,
-    stepping with exp(gen dz), one exponential per distinct step dz."""
+    stepping with exp(gen dz), one exponential per distinct nonzero step dz.
+
+    ``gen`` may also be a stack of runs' generators (runs, n, n), with ``v``
+    one start vector per run or one shared by all; the result is then
+    (runs, nz, n) and each z is one stacked product over a chunk of runs
+    that holds at most ``STEP_STACK`` step matrices.  Each run's steps are
+    exponentiated in an ``_expm`` call of their own, so its scaling, and
+    every bit of its result, is what that run alone would give.  A zero
+    step is the identity and is not exponentiated.
+    """
+    single = gen.ndim == 2
+    gens = gen[None] if single else gen
     dzs, step_of = np.unique(np.diff(zs, prepend=0.0), return_inverse=True)
-    steps = _expm(gen * dzs[:, None, None])
-    out = np.empty((zs.size, v.size), dtype=complex)
-    for k, j in enumerate(step_of):
-        if dzs[j]:
-            v = steps[j] @ v
-        out[k] = v
-    return out
+    moving = dzs != 0.0
+    n_moving = int(moving.sum())
+    step_index = np.cumsum(moving) - 1
+    starts = np.broadcast_to(v, gens.shape[:2])
+    out = np.empty((gens.shape[0], zs.size, gens.shape[1]), dtype=complex)
+    per_chunk = max(1, STEP_STACK // max(1, n_moving))
+    for lo in range(0, gens.shape[0], per_chunk):
+        chunk = slice(lo, lo + per_chunk)
+        steps = np.empty((n_moving,) + gens[chunk].shape, dtype=complex)
+        for r, g in enumerate(gens[chunk] if n_moving else ()):
+            steps[:, r] = _expm(g * dzs[moving, None, None])
+        v = starts[chunk].astype(complex)
+        for k, j in enumerate(step_of):
+            if moving[j]:
+                v = np.matmul(steps[step_index[j]], v[..., None])[..., 0]
+            out[chunk, k] = v
+    return out[0] if single else out
 
 
 # Pade-13 coefficients b_0..b_13 and its 1-norm bound theta_13 (Higham 2005)
@@ -360,19 +384,80 @@ def _trapped_hamiltonian(h: HamiltonianMatrix, kappa: float, target: int) -> np.
     return h_eff
 
 
-def _check_density_stack(rhos: np.ndarray) -> None:
-    """Raise NumericalError on trace growth (step to step or above 1) or a
-    negative eigenvalue beyond 1e-9, or a Hermiticity error beyond 1e-10."""
-    traces = np.real(np.einsum("zii->z", rhos))
-    growth = max(float(np.max(np.diff(traces), initial=0.0)), float(traces.max()) - 1.0)
-    if growth > 1e-9:
-        raise NumericalError(f"density trace grows by {growth:.3e}")
-    herm = float(np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2)))))
-    if herm > 1e-10:
-        raise NumericalError(f"density matrix is not Hermitian (error {herm:.3e})")
-    min_eig = float(np.linalg.eigvalsh(rhos).min())
-    if min_eig < -1e-9:
-        raise NumericalError(f"density matrix has eigenvalue {min_eig:.3e}")
+def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
+    """How physical a stack of density runs is, shape (runs, nz, d, d) or
+    one run (nz, d, d): the largest trace increase within a run (step to
+    step along z, or above 1), the smallest eigenvalue and the largest
+    Hermiticity error.  Runs are taken one at a time, so no run's trace is
+    compared with another's and the scratch memory is one run's."""
+    max_growth, herm, min_eig = -math.inf, 0.0, math.inf
+    for run in rhos.reshape((-1,) + rhos.shape[-3:]):
+        traces = np.real(np.einsum("zii->z", run))
+        max_growth = max(max_growth, float(np.max(np.diff(traces), initial=0.0)),
+                         float(traces.max()) - 1.0)
+        herm = max(herm, float(np.max(np.abs(run - np.conj(np.swapaxes(run, 1, 2))))))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(run).min()))
+    return {"max_trace_increase": max_growth, "min_eigenvalue": min_eig,
+            "max_hermiticity_error": herm}
+
+
+def _check_density_stack(rhos: np.ndarray) -> Dict[str, float]:
+    """The ``_density_margins`` of a stack of runs; raise NumericalError on
+    trace growth or a negative eigenvalue beyond 1e-9, or a Hermiticity
+    error beyond 1e-10."""
+    margins = _density_margins(rhos)
+    if margins["max_trace_increase"] > 1e-9:
+        raise NumericalError(f"density trace grows by {margins['max_trace_increase']:.3e}")
+    if margins["max_hermiticity_error"] > 1e-10:
+        raise NumericalError("density matrix is not Hermitian "
+                             f"(error {margins['max_hermiticity_error']:.3e})")
+    if margins["min_eigenvalue"] < -1e-9:
+        raise NumericalError(f"density matrix has eigenvalue {margins['min_eigenvalue']:.3e}")
+    return margins
+
+
+def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, target: int,
+                   dephasing_site: int, rho0, z_grid,
+                   uniform_dephasing: bool = False) -> Tuple[np.ndarray, Dict[str, float]]:
+    """The master-equation engine: densities of a stack of runs, shape
+    (runs, nz, d, d), and their ``_check_density_stack`` margins.
+
+    Row i of the 2-d ``rates`` holds the dephasing rates run under
+    ``hams[i]``; runs are taken row by row.  Every generator is
+    L0(H) - gamma diag(mask), with L0 built once per Hamiltonian, and all
+    runs step together through one ``_propagate`` call.  See
+    ``evolve_lindblad``, the one-run case, for the model.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if kappa < 0:
+        raise ValueError(f"kappa must be non-negative, got {kappa}")
+    if np.any(rates < 0):
+        raise ValueError(f"dephasing rate must be non-negative, got {rates.min()}")
+    if rates.ndim != 2 or rates.shape[0] != len(hams):
+        raise ValueError("need one row of dephasing rates per Hamiltonian")
+    zs = _as_zgrid(z_grid)
+    dim = hams[0].dimension
+    rho = _initial_density(rho0, dim)
+    if not 0 <= target < dim or not 0 <= dephasing_site < dim:
+        raise ValueError("target or dephasing site out of range")
+
+    eye = np.eye(dim)
+    proj = np.zeros((dim, dim))
+    proj[target, target] = 1.0
+    trapping = 0.5 * kappa * (np.kron(proj, eye) + np.kron(eye, proj))
+    # damped coherences: dephasing site against every other, or all of them
+    mask = np.full((dim, dim), 1.0 if uniform_dephasing else 0.0)
+    mask[dephasing_site, :] = mask[:, dephasing_site] = 1.0
+    np.fill_diagonal(mask, 0.0)
+    dephasing = np.diag(mask.ravel())
+    gens = np.empty((rates.size, dim * dim, dim * dim), dtype=complex)
+    for i, h in enumerate(hams):
+        hmat = h.entries
+        base = -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T)) - trapping
+        row = slice(i * rates.shape[1], (i + 1) * rates.shape[1])
+        gens[row] = base - rates[i, :, None, None] * dephasing
+    out = _propagate(gens, rho.ravel(), zs).reshape(rates.size, zs.size, dim, dim)
+    return out, _check_density_stack(out)
 
 
 def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
@@ -390,8 +475,10 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
 
     Exact for this z-independent generator: the row-major Liouvillian
     -i(H x I - I x H^T) - (kappa/2)(P x I + I x P) - gamma diag(mask) is
-    exponentiated once per distinct grid step.  Unphysical output (trace
-    growth, a negative eigenvalue, lost Hermiticity) raises NumericalError.
+    exponentiated once per distinct nonzero grid step.  Unphysical output
+    (trace growth, a negative eigenvalue, lost Hermiticity) raises
+    NumericalError.  This is the one-run case of ``_lindblad_runs``, which
+    sweeps run as one stack.
 
     Parameters
     ----------
@@ -405,30 +492,10 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
     z_grid : array
         Output grid, non-decreasing from z >= 0.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be non-negative, got {kappa}")
-    if dephasing_rate < 0:
-        raise ValueError(f"dephasing rate must be non-negative, got {dephasing_rate}")
     zs = _as_zgrid(z_grid)
-    dim = h.dimension
-    rho = _initial_density(rho0, dim)
-    if not 0 <= target < dim or not 0 <= dephasing_site < dim:
-        raise ValueError("target or dephasing site out of range")
-
-    hmat = h.entries
-    eye = np.eye(dim)
-    proj = np.zeros((dim, dim))
-    proj[target, target] = 1.0
-    # damped coherences: dephasing site against every other, or all of them
-    mask = np.full((dim, dim), 1.0 if uniform_dephasing else 0.0)
-    mask[dephasing_site, :] = mask[:, dephasing_site] = 1.0
-    np.fill_diagonal(mask, 0.0)
-    liouvillian = (-1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
-                   - 0.5 * kappa * (np.kron(proj, eye) + np.kron(eye, proj))
-                   - dephasing_rate * np.diag(mask.ravel()))
-    out_rho = _propagate(liouvillian, rho.ravel(), zs).reshape(zs.size, dim, dim)
-    _check_density_stack(out_rho)
-    return _trace(h, zs, np.real(np.einsum("zii->zi", out_rho)), out_rho)
+    rhos = _lindblad_runs([h], [[dephasing_rate]], kappa, target, dephasing_site,
+                          rho0, zs, uniform_dephasing)[0][0]
+    return _trace(h, zs, np.real(np.einsum("zii->zi", rhos)), rhos)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from enaqt import decoherence
 from enaqt import (AmplitudeState, DispersionModel, HamiltonianMatrix, Spectrum,
                    build_hamiltonian, dark_state_diagnostics, efficiency, enaqt4_network,
                    enaqt_map, enaqt_metric, ensemble_average, evolve_trapped,
-                   spectral_nodes, sweep_bandwidth, sweep_wavelength,
+                   SweepResult, spectral_nodes, sweep_bandwidth, sweep_wavelength,
                    tophat_gamma_closed_form, wavelength_grid)
 from conftest import DARK_VECTOR, LAMBDA0
 
@@ -316,6 +316,32 @@ def test_enhancements_are_zero_at_zero_length(design_net):
     for name in columns:
         assert np.all(res.column(name) == 0.0), name
     assert np.all(grid.column("enhancement") == 0.0)
+
+
+def test_write_csv_pins_its_bytes(tmp_path):
+    # integer columns print as floats; -0.0, 1e-300 and rounding-prone values
+    # keep their shortest round-trip repr
+    result = SweepResult(kind="t", metadata={}, columns={
+        "n": np.array([3, -2, 0]),
+        "x_cm": np.array([-0.0, 1e-300, 0.1 + 0.2]),
+        "y": [1.5, -7, 2.5e16],
+    })
+    path = tmp_path / "t.csv"
+    result.write_csv(path)
+    assert path.read_bytes() == (b"n,x_cm,y\n"
+                                 b"3.0,-0.0,1.5\n"
+                                 b"-2.0,1e-300,-7.0\n"
+                                 b"0.0,0.30000000000000004,2.5e+16\n")
+
+
+def test_enaqt_map_adds_the_coherent_base_run(design_net):
+    zs = np.array([0.0, 2.0, 7.5, 15.0])
+    with_base = enaqt_map(design_net, zs, [0.0, 0.01, 0.03])
+    without = enaqt_map(design_net, zs, [0.01, 0.03])
+    assert without.n_rows == 2 * zs.size
+    for name in ("efficiency", "enhancement"):
+        assert np.array_equal(without.column(name), with_base.column(name)[zs.size:])
+    assert without.metadata["n_gamma"] == 2
 
 
 def test_enaqt_map_structure(design_net):

@@ -291,6 +291,26 @@ def test_sweep_bandwidth_subcommand(tmp_path):
     assert fit["tail"] < 1e-14
 
 
+@pytest.mark.parametrize("command, csv_name", [
+    (["map"], "enaqt_map"),
+    (["map", "--extended"], "enaqt_map_extended"),
+    (["sweep-bandwidth"], "bandwidth_sweep"),
+])
+def test_lindblad_margins_in_manifest_not_csv(tmp_path, command, csv_name):
+    out = tmp_path / "out"
+    assert main(command[:1] + [str(bundled_network_path()), "--output-dir", str(out)]
+                + command[1:]) == 0
+    manifest = json.loads((out / f"{csv_name}_manifest.json").read_text())
+    margins = manifest["metadata"]["diagnostics"]["lindblad"]
+    assert set(margins) == {"max_trace_increase", "min_eigenvalue", "max_hermiticity_error"}
+    # inside the bounds the engine enforces, and measured, not placeholders
+    assert -1e-9 <= margins["max_trace_increase"] <= 1e-9
+    assert -1e-9 <= margins["min_eigenvalue"] <= 0.0
+    assert 0.0 < margins["max_hermiticity_error"] <= 1e-10
+    header = (out / f"{csv_name}.csv").read_text().splitlines()[0]
+    assert not any(key in header for key in ("diagnostics", "trace", "eigenvalue", "herm"))
+
+
 def test_calibrate_subcommand(tmp_path, capsys):
     rows = ["separation_um,coupling_per_cm"]
     for s in (10.0, 14.0, 18.0, 22.0):

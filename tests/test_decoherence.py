@@ -188,6 +188,19 @@ def test_nodes_include_center_for_odd_counts():
         assert wts.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("spectrum", [DESIGN_TOPHAT, Spectrum.gaussian(LAMBDA0, 30.0)],
+                         ids=["tophat", "gaussian"])
+def test_nodes_are_the_same_bits_on_every_call(spectrum):
+    first = [a.copy() for a in spectral_nodes(spectrum, 41)]
+    lams, wts = spectral_nodes(spectrum, 41)
+    assert np.array_equal(lams, first[0]) and np.array_equal(wts, first[1])
+    # a caller that writes into the returned arrays changes no later call
+    lams[:] = 0.0
+    wts *= 2.0
+    again = spectral_nodes(spectrum, 41)
+    assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])
+
+
 def test_nodes_discrete_uses_lines():
     spec = Spectrum.discrete([(780.0, 1.0), (800.0, 3.0)])
     lams, wts = spectral_nodes(spec, 99)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from enaqt import (AmplitudeState, DensityState, DispersionModel, HamiltonianMatrix,
                    NetworkSpec, SinkSpec, build_hamiltonian, bundled_network_path,
                    enaqt4_network, evolve_lindblad, evolve_trapped, evolve_unitary,
-                   parse_config, sink_no_return_check, wavelength_grid)
+                   parse_config, sink_no_return_check, tophat_gamma_closed_form,
+                   wavelength_grid)
 from enaqt import propagate
 from enaqt.lattice import DETUNING_LAWS
-from enaqt.propagate import (NumericalError, _check_density_stack, _expm, _propagate,
-                             _unitary_amplitudes, _wavelength_amplitudes)
+from enaqt.propagate import (NumericalError, _check_density_stack, _density_margins, _expm,
+                             _lindblad_runs, _propagate, _unitary_amplitudes,
+                             _wavelength_amplitudes)
 from conftest import DARK_VECTOR, LAMBDA0
 
 ZS = np.arange(0.0, 15.0 + 1e-9, 0.1)
@@ -261,6 +264,84 @@ def test_density_stack_check_rejects_unphysical(index, value, message):
     rhos[index] = value
     with pytest.raises(NumericalError, match=message):
         _check_density_stack(rhos)
+
+
+@pytest.mark.parametrize("index, value, field, want", [
+    ((1, 0, 0), 1.5, "max_trace_increase", 0.8),  # trace 1.0 -> 1.8
+    ((1, 0, 1), 0.3, "max_hermiticity_error", 0.2),  # against the 0.1 below it
+    (1, [[0.7, 0.6], [0.6, 0.3]], "min_eigenvalue", 0.5 - math.sqrt(0.4)),
+])
+def test_density_margins_read_the_injected_value(index, value, field, want):
+    rhos = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.1], [0.1, 0.3]]], dtype=complex)
+    good = _check_density_stack(rhos)
+    assert set(good) == {"max_trace_increase", "min_eigenvalue", "max_hermiticity_error"}
+    assert good["max_trace_increase"] == 0.0
+    assert good["max_hermiticity_error"] == 0.0
+    assert good["min_eigenvalue"] == pytest.approx(0.0, abs=1e-15)
+    rhos[index] = value
+    assert _density_margins(rhos)[field] == pytest.approx(want, abs=1e-15)
+
+
+def _map_grid():
+    return np.arange(151) * 0.1, np.arange(21) * 0.0025
+
+
+def _extended_grid():
+    return np.arange(101) * 5.0, np.arange(21) * 0.025
+
+
+def _bandwidth_grid():
+    gammas = np.array([tophat_gamma_closed_form(1.0, b, LAMBDA0) for b in range(0, 100, 5)])
+    return np.array([0.0, 15.0]), gammas
+
+
+def _detuned(net, scale):
+    return dataclasses.replace(net, site_detunings=tuple(
+        (s, d * scale) for s, d in net.site_detunings))
+
+
+@pytest.mark.parametrize("grid", [_map_grid, _extended_grid, _bandwidth_grid,
+                                  lambda: (np.array([0.3, 0.3, 0.8, 1.3, 2.05, 4.0, 4.0, 7.5]),
+                                           # rates far apart: runs need different scalings
+                                           np.array([0.0, 0.01, 0.2, 40.0]))],
+                         ids=["map", "map-extended", "bandwidth", "non-zero-start-repeated-z"])
+def test_stacked_runs_match_one_at_a_time(grid, design_net_open, design_kappa):
+    zs, gammas = grid()
+    scales = (1.0, 0.9, 1.1)
+    hams = [build_hamiltonian(_detuned(design_net_open, s), LAMBDA0) for s in scales]
+    rates = [s * gammas for s in scales]
+    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    stacked, margins = _lindblad_runs(hams, rates, design_kappa, 2, 3, rho0, zs)
+    assert stacked.shape == (3 * gammas.size, zs.size, 4, 4)
+    alone = np.array([evolve_lindblad(h, design_kappa, 2, float(g), 3, rho0, zs).densities
+                      for h, row in zip(hams, rates) for g in row])
+    assert np.max(np.abs(stacked - alone)) <= 1e-15
+    assert margins == propagate._density_margins(alone)
+
+
+def test_density_check_never_compares_across_runs():
+    # run 1 decays to trace 0.4; run 2 starts at trace 1 again
+    decaying = np.array([np.diag([1.0, 0.0]), np.diag([0.2, 0.2])], dtype=complex)
+    stack = np.array([decaying, np.array([np.diag([0.5, 0.5]), np.diag([0.3, 0.3])])])
+    margins = _check_density_stack(stack)
+    assert margins["max_trace_increase"] == pytest.approx(0.0, abs=1e-15)
+    # growth inside one run still fails
+    stack[1, 1] = np.diag([0.6, 0.45])
+    with pytest.raises(NumericalError, match="trace grows by 5.000e-02"):
+        _check_density_stack(stack)
+
+
+@pytest.mark.parametrize("zs", [[0.0], [0.0, 0.0, 0.0]])
+def test_zero_steps_are_not_exponentiated(zs, h_system, design_kappa, monkeypatch):
+    def no_expm(stack):
+        raise AssertionError(f"_expm called on a stack of shape {stack.shape}")
+
+    monkeypatch.setattr(propagate, "_expm", no_expm)
+    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    rhos, _ = _lindblad_runs([h_system], [[0.0, 0.01]], design_kappa, 2, 3, rho0, zs)
+    assert np.all(rhos == rho0)
+    v0 = np.array([1.0, 0.0])
+    assert np.all(_propagate(np.eye(2)[None].repeat(3, axis=0), v0, np.array(zs)) == v0)
 
 
 # ---------------------------------------------------------------------------
