@@ -225,17 +225,17 @@ def _cmd_check(args) -> int:
     else:
         print("[skip] sink no-return: network has no explicit sink")
 
-    # quadrature convergence of the spectral ensemble
+    # quadrature convergence of the spectral ensemble: its efficiency is
+    # sum_k w_k eta_coh(lambda_k), so both node sets run in one coherent call
     if net.sink is not None and config.spectrum.shape in ("tophat", "gaussian") \
             and not config.spectrum.is_monochromatic:
         psi0 = propagate.AmplitudeState.site(net.dimension, net.input_site)
         n = num.ensemble_nodes
-        sink_at = {}
-        for count in (n, 2 * n - 1):
-            sink_at[count] = decoherence.ensemble_average(
-                net, config.spectrum, psi0, config.experiment.z_cm,
-                nodes=count).trapped_fraction
-        drift = abs(sink_at[n] - sink_at[2 * n - 1])
+        lams_n, w_n = decoherence.spectral_nodes(config.spectrum, n)
+        lams_2n, w_2n = decoherence.spectral_nodes(config.spectrum, 2 * n - 1)
+        etas = decoherence.coherent_efficiency(net, np.concatenate((lams_n, lams_2n)),
+                                               psi0, config.experiment.z_cm)
+        drift = abs(float(w_n @ etas[: lams_n.size]) - float(w_2n @ etas[lams_n.size:]))
         report("ensemble quadrature convergence", drift < 1e-4,
                f"sink fraction moves {drift:.2e} when nodes {n} -> {2 * n - 1}")
     else:

@@ -364,10 +364,11 @@ def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
 
 def coherent_efficiency(net: NetworkSpec, wavelengths_nm, psi0, z_cm: float) -> np.ndarray:
     """eta_coh(lambda) = 1 - sum_system |psi(lambda, z)|^2 at each wavelength:
-    the light one coherent run with the explicit sink has trapped by z."""
+    the light one coherent run with the explicit sink has trapped by z.
+    Only the system guides of each run are propagated to the end."""
     amps = _initial_amplitudes(psi0, net.dimension)
-    rows = _wavelength_amplitudes(net, wavelengths_nm, amps, z_cm)
-    return 1.0 - np.sum(np.abs(rows[:, : net.n_sites]) ** 2, axis=1)
+    system = _wavelength_amplitudes(net, wavelengths_nm, amps, z_cm, rows=net.n_sites)
+    return 1.0 - np.sum(np.abs(system) ** 2, axis=1)
 
 
 def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit:

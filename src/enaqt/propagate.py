@@ -42,6 +42,7 @@ class AmplitudeState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1:
             raise ValueError(f"amplitudes must be a vector, got shape {amps.shape}")
+        _require_finite(amps, "amplitudes")
         n2 = float(np.vdot(amps, amps).real)
         if n2 > 1.0 + 1e-9:
             raise ValueError(f"squared norm {n2} exceeds 1")
@@ -64,6 +65,7 @@ class DensityState:
         object.__setattr__(self, "matrix", rho)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+        _require_finite(rho, "density matrix")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
             raise ValueError("density matrix is not Hermitian")
         tr = float(np.trace(rho).real)
@@ -96,6 +98,12 @@ class EvolutionTrace:
     densities: Optional[np.ndarray] = None
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """A NaN passes every norm and trace bound, so states are refused here."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _as_amplitudes(psi) -> np.ndarray:
     if isinstance(psi, AmplitudeState):
         return psi.amplitudes
@@ -117,6 +125,7 @@ def _initial_amplitudes(psi0, dim: int) -> np.ndarray:
     amps = _as_amplitudes(psi0)
     if amps.shape[0] != dim:
         raise ValueError(f"state dimension {amps.shape[0]} != Hamiltonian {dim}")
+    _require_finite(amps, "initial state")
     n2 = float(np.vdot(amps, amps).real)
     if abs(n2 - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, squared norm is {n2}")
@@ -129,6 +138,7 @@ def _initial_density(rho0, dim: int) -> np.ndarray:
         rho = np.outer(rho, rho.conj())
     if rho.shape != (dim, dim):
         raise ValueError(f"density shape {rho.shape} != Hamiltonian dimension {dim}")
+    _require_finite(rho, "initial state")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"initial state must have unit trace, trace is {tr}")
@@ -186,13 +196,19 @@ def _bessel_j(x: np.ndarray) -> np.ndarray:
     the other x of the call.  An x below ``SERIES_TOL`` gives J_0 = 1 alone."""
     zero = x < SERIES_TOL
     starts = np.where(zero, 0, (x + 15.0 * np.cbrt(x)).astype(int) + 30)
-    table = np.zeros((int(starts.max()) + 2, x.size))
-    two_over_x = 2.0 / np.where(zero, 1.0, x)
-    for k in range(int(starts.max()), 0, -1):
-        table[k, starts == k] = 1.0
-        table[k - 1] = k * two_over_x * table[k] - table[k + 1]
-        big = np.abs(table[k - 1]) > 1e150
-        if big.any():
+    top = int(starts.max())
+    table = np.zeros((top + 2, x.size))
+    # factors[k] = 2k/x, each row as k * (2/x)
+    factors = np.outer(np.arange(top + 1), 2.0 / np.where(zero, 1.0, x))
+    seeds = {int(k): starts == k for k in np.unique(starts) if k > 0}
+    for k in range(top, 0, -1):
+        if k in seeds:
+            table[k, seeds[k]] = 1.0
+        row = table[k - 1]
+        np.multiply(factors[k], table[k], out=row)
+        np.subtract(row, table[k + 1], out=row)
+        if np.abs(row).max() > 1e150:
+            big = np.abs(row) > 1e150
             table[k - 1:, big] *= 1e-150
     table[0, zero] = 1.0
     table /= table[0] + 2.0 * table[2::2].sum(axis=0)
@@ -211,10 +227,41 @@ def _series_weights(x: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _light_cone(couplings: np.ndarray, amps: np.ndarray, n_terms: int,
+                rows: int) -> np.ndarray:
+    """Row counts m_k, one per order k of an ``n_terms`` Chebyshev series
+    from ``amps``: order k runs on guides [0, m_k) and skips nothing that
+    is nonzero and reaches one of the first ``rows`` guides.
+
+    reach[m] is 1 + the largest index coupled to, or equal to, a guide
+    below m, so one product with H maps rows [0, m) into [0, reach[m]).
+    T_k is zero past the forward prefix f_k: f_0 = 1 + the last nonzero
+    index of ``amps`` and f_k = reach[f_(k-1)].  The order j before the
+    last is needed only on the backward prefix b_j: b_0 = ``rows`` and
+    b_j = reach[b_(j-1)].  So m_k = min(f_k, b_(n_terms-1-k)).  On a
+    network whose ordering does not suit this (a ring coupling), the
+    prefixes reach every guide after a few orders.
+    """
+    index = np.arange(couplings.shape[0])
+    # the largest guide each guide is coupled to, or the guide itself
+    last = np.where(couplings != 0.0, index, index[:, None]).max(axis=1)
+    reach = np.concatenate(([0], 1 + np.maximum.accumulate(last)))
+    forward = np.empty(n_terms, dtype=int)
+    backward = np.empty(n_terms, dtype=int)
+    forward[0] = np.flatnonzero(amps)[-1] + 1
+    backward[0] = rows
+    for k in range(1, n_terms):
+        forward[k] = reach[forward[k - 1]]
+        backward[k] = reach[backward[k - 1]]
+    return np.minimum(forward, backward[::-1])
+
+
 def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
-                           z: float) -> np.ndarray:
+                           z: float, rows: Optional[int] = None) -> np.ndarray:
     """Rows psi(lambda) = exp(-iH(lambda)z) amps for each wavelength of
     ``lams`` at one z: the propagator of wavelength sweeps and ensembles.
+    Only the first ``rows`` guides of each psi are returned, all of them by
+    default.
 
     Every H(lambda) is beta0 I + d(lambda) diag(D) + c(lambda) A
     (``hamiltonian_parts``).  With each wavelength's spectrum inside
@@ -224,7 +271,10 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     whose Bessel weight reaches ``SERIES_TOL`` at some wavelength.  The
     three-term recurrence of T_k runs on one real block holding every
     wavelength's column (real and imaginary parts for complex amps), so each
-    term is one matrix product with A shared by all wavelengths.  The term
+    term is one matrix product with A shared by all wavelengths.  Order k
+    runs only on the guides of its ``_light_cone``: those that can be
+    nonzero by then and can still reach a returned guide.  Every skipped
+    entry is an exact zero or never reaches a returned row.  The term
     count grows with a z, so a wavelength with a z above
     ``SERIES_MAX_ARGUMENT`` goes through ``_unitary_amplitudes`` instead.  A
     non-finite result raises NumericalError.
@@ -232,6 +282,7 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     lams = np.asarray(lams, dtype=float)
     if not z >= 0:
         raise ValueError(f"z must be non-negative, got {z}")
+    keep = amps.size if rows is None else rows
     disp = net.dispersion
     detunings, couplings = hamiltonian_parts(net)
     cscale = np.array([disp.coupling_scale(lam) for lam in lams])
@@ -244,11 +295,11 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     long = half * z > SERIES_MAX_ARGUMENT
     if long.any():
-        out = np.empty((lams.size, amps.size), dtype=complex)
-        out[long] = [_unitary_amplitudes(build_hamiltonian(net, lam), amps, [z])[0]
+        out = np.empty((lams.size, keep), dtype=complex)
+        out[long] = [_unitary_amplitudes(build_hamiltonian(net, lam), amps, [z])[0, :keep]
                      for lam in lams[long]]
         if not long.all():
-            out[~long] = _wavelength_amplitudes(net, lams[~long], amps, z)
+            out[~long] = _wavelength_amplitudes(net, lams[~long], amps, z, rows)
         return out
 
     # 2 (H - e)/a v = shift * v + scale * (A v); a column per wavelength, or
@@ -260,26 +311,31 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     shift = np.repeat(diagonal, parts, axis=1)
     scale = np.repeat(2.0 * cscale / a, parts)
     weights = np.repeat(_series_weights(half * z), parts, axis=1)
+    cone = _light_cone(couplings, amps, weights.shape[0], keep)
     cur = np.repeat((amps if parts == 2 else amps.real)[:, None], lams.size, axis=1)
     cur = cur.view(float)
 
+    # every order writes only inside the forward cone, so each buffer stays
+    # zero past it and a row the cone has just reached reads as T_k = 0
     even, odd = weights[0] * cur, np.zeros_like(cur)
-    prev, nxt, tmp = np.empty_like(cur), np.empty_like(cur), np.empty_like(cur)
+    prev, nxt, tmp = np.zeros_like(cur), np.zeros_like(cur), np.empty_like(cur)
     for k in range(1, weights.shape[0]):
-        np.matmul(couplings, cur, out=tmp)
-        tmp *= scale
-        np.multiply(shift, cur, out=nxt)
-        nxt += tmp
+        m = cone[k]
+        np.matmul(couplings[:m, :cone[k - 1]], cur[:cone[k - 1]], out=tmp[:m])
+        tmp[:m] *= scale
+        np.multiply(shift[:m], cur[:m], out=nxt[:m])
+        nxt[:m] += tmp[:m]
         if k == 1:
-            nxt *= 0.5
+            nxt[:m] *= 0.5
         else:
-            nxt -= prev
-        np.multiply(weights[k], nxt, out=tmp)
+            nxt[:m] -= prev[:m]
+        np.multiply(weights[k], nxt[:m], out=tmp[:m])
         total = odd if k % 2 else even
-        total += tmp
+        total[:m] += tmp[:m]
         prev, cur, nxt = cur, nxt, prev
 
     # psi = exp(-iez) (even - i odd)
+    even, odd = even[:keep], odd[:keep]
     if parts == 2:
         psi = odd.view(complex)
         psi *= -1j

@@ -274,9 +274,9 @@ def test_band_fit_runs_each_point_once(design_net, monkeypatch):
     lams = []
     kernel = decoherence._wavelength_amplitudes
 
-    def counting(net, wavelengths, amps, z):
+    def counting(net, wavelengths, amps, z, rows=None):
         lams.extend(np.asarray(wavelengths).tolist())
-        return kernel(net, wavelengths, amps, z)
+        return kernel(net, wavelengths, amps, z, rows)
 
     monkeypatch.setattr(decoherence, "_wavelength_amplitudes", counting)
     res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 15.0, nodes=41,

@@ -354,6 +354,18 @@ def test_check_dark_state_line_can_fail(tmp_path, capsys):
     assert "trapped fraction 0.666667" in out
 
 
+def test_check_quadrature_line_can_fail(tmp_path, capsys):
+    # three nodes cannot resolve the 95 nm band: five move the sink fraction
+    raw = default_config_dict()
+    raw["numerics"]["ensemble_nodes"] = 3
+    p = tmp_path / "coarse.json"
+    p.write_text(json.dumps(raw))
+    assert main(["check", str(p)]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] ensemble quadrature convergence: sink fraction moves 1.80e-03 " \
+           "when nodes 3 -> 5" in out
+
+
 def test_check_flags_short_sink(tmp_path, capsys):
     raw = default_config_dict()
     raw["network"]["sink"]["n_sink"] = 2

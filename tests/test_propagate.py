@@ -75,6 +75,24 @@ def test_unitary_requires_normalized_state(h_system):
         evolve_unitary(h_system, np.array([0.5, 0, 0, 0]), [1.0])
 
 
+NAN_VECTOR = np.array([np.nan, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("run", [
+    lambda h, kappa: evolve_unitary(h, NAN_VECTOR, [1.0]),
+    lambda h, kappa: evolve_trapped(h, kappa, 2, NAN_VECTOR, [1.0]),
+    lambda h, kappa: evolve_lindblad(h, kappa, 2, 0.1, 3, NAN_VECTOR, [1.0]),
+    lambda h, kappa: evolve_lindblad(h, kappa, 2, 0.1, 3, np.diag(NAN_VECTOR), [1.0]),
+    lambda h, kappa: AmplitudeState(NAN_VECTOR),
+    lambda h, kappa: DensityState(np.diag([np.inf, 0.0, 0.0, 0.0])),
+], ids=["evolve_unitary", "evolve_trapped", "evolve_lindblad-vector",
+        "evolve_lindblad-matrix", "AmplitudeState", "DensityState"])
+def test_non_finite_initial_state_is_refused(h_system, design_kappa, run):
+    # NaN passes every norm and trace bound; it must be refused by name
+    with pytest.raises(ValueError, match="finite"):
+        run(h_system, design_kappa)
+
+
 # ---------------------------------------------------------------------------
 # trapped engine
 
@@ -435,6 +453,19 @@ def test_long_series_wavelengths_take_the_eigh_route(bundled_sweep, monkeypatch)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("tol", [propagate.SERIES_TOL, 1e-4], ids=["series", "short-series"])
+def test_returned_rows_match_the_full_state(bundled_sweep, monkeypatch, tol):
+    # the system rows alone: the light cone skips no work that reaches them.
+    # A short series gives its last orders large weights, so an order that
+    # misses guides the returned rows need shows at any series length
+    monkeypatch.setattr(propagate, "SERIES_TOL", tol)
+    net, lams, z, amps, _ = bundled_sweep
+    full = _wavelength_amplitudes(net, lams, amps, z)
+    system = _wavelength_amplitudes(net, lams, amps, z, rows=net.n_sites)
+    assert system.shape == (lams.size, net.n_sites)
+    assert np.max(np.abs(system - full[:, : net.n_sites])) < 1e-15
+
+
 def test_wavelength_alone_matches_batch(bundled_sweep):
     net, lams, z, amps, _ = bundled_sweep
     batch = _wavelength_amplitudes(net, lams, amps, z)
@@ -459,20 +490,27 @@ def dispersive_networks(draw):
         sink = SinkSpec(n_sink=draw(st.integers(1, 20)),
                         c_trap_per_cm=draw(st.floats(0.2, 2.0)),
                         c_sink_per_cm=draw(st.floats(0.5, 2.0)))
+    # the input at either end of the system: the forward cone starts at the
+    # first guide or already spans every system guide
     return NetworkSpec(n_sites=n, site_detunings=detunings, couplings=couplings,
-                       dispersion=dispersion, sink=sink, input_site=0, target_site=n - 1)
+                       dispersion=dispersion, sink=sink,
+                       input_site=draw(st.sampled_from([0, n - 1])), target_site=n - 1)
 
 
 @given(net=dispersive_networks(), z=st.floats(0.0, 30.0), complex_state=st.booleans(),
-       lams=st.lists(st.floats(700.0, 900.0), min_size=1, max_size=6))
+       lams=st.lists(st.floats(700.0, 900.0), min_size=1, max_size=6), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_wavelength_amplitudes_match_eigh_random_networks(net, z, complex_state, lams):
+def test_wavelength_amplitudes_match_eigh_random_networks(net, z, complex_state, lams,
+                                                          data):
     if complex_state:
         amps = np.exp(1j * np.arange(net.dimension)) / math.sqrt(net.dimension)
     else:
         amps = _site(net.dimension, net.input_site).amplitudes
-    got = _wavelength_amplitudes(net, lams, amps, z)
-    assert np.max(np.abs(got - _eigh_rows(net, lams, amps, z))) < 1e-12
+    rows = data.draw(st.sampled_from([None, *range(1, net.n_sites + 1)]), label="rows")
+    got = _wavelength_amplitudes(net, lams, amps, z, rows)
+    want = _eigh_rows(net, lams, amps, z)[:, :rows]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_wavelength_amplitudes_exact_without_spread(bundled_sweep):
