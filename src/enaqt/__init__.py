@@ -9,9 +9,8 @@ transport efficiency.
 """
 
 from ._version import __version__
-from .analysis import (DarkStateReport, EfficiencyPoint, SweepResult,
-                       dark_state_diagnostics, effective_kappa, efficiency,
-                       enaqt_map, enaqt_metric, sweep_bandwidth,
+from .analysis import (DarkStateReport, SweepResult, dark_state_diagnostics,
+                       effective_kappa, enaqt_map, sweep_bandwidth,
                        sweep_wavelength, wavelength_grid)
 from .calibration import (CouplingCurve, TrapRatio, detuning_from_max_transfer,
                           effective_trap_rate, fit_coupling_curve, pair_transfer,
@@ -21,8 +20,7 @@ from .decoherence import (EnsembleResult, Spectrum, coherence_decay_pair,
                           coherence_time, decoherence_strength, ensemble_average,
                           g1, spectral_nodes, tophat_gamma_closed_form)
 from .lattice import (DispersionModel, HamiltonianMatrix, NetworkSpec, SinkSpec,
-                      TightBindingReport, build_hamiltonian, enaqt4_network,
-                      required_sink_length, validate_tight_binding)
+                      build_hamiltonian, enaqt4_network)
 from .propagate import (AmplitudeState, DensityState, EvolutionTrace,
                         NoReturnReport, NumericalError, evolve_lindblad,
                         evolve_trapped, evolve_unitary, sink_no_return_check)
@@ -30,17 +28,15 @@ from .propagate import (AmplitudeState, DensityState, EvolutionTrace,
 __all__ = [
     "__version__",
     "AmplitudeState", "ConfigError", "CouplingCurve", "DarkStateReport",
-    "DensityState", "DispersionModel", "EfficiencyPoint", "EnsembleResult",
-    "EvolutionTrace", "HamiltonianMatrix", "NetworkSpec", "NoReturnReport",
-    "NumericalError", "RunConfig", "SinkSpec", "Spectrum", "SweepResult",
-    "TightBindingReport", "TrapRatio",
+    "DensityState", "DispersionModel", "EnsembleResult", "EvolutionTrace",
+    "HamiltonianMatrix", "NetworkSpec", "NoReturnReport", "NumericalError",
+    "RunConfig", "SinkSpec", "Spectrum", "SweepResult", "TrapRatio",
     "build_hamiltonian", "bundled_network_path", "coherence_decay_pair",
     "coherence_time", "dark_state_diagnostics", "decoherence_strength",
-    "detuning_from_max_transfer", "effective_kappa", "efficiency",
-    "effective_trap_rate", "enaqt4_network", "enaqt_map", "enaqt_metric",
-    "ensemble_average", "evolve_lindblad", "evolve_trapped", "evolve_unitary",
-    "fit_coupling_curve", "g1", "pair_transfer", "parse_config",
-    "required_sink_length", "separation_for_coupling", "sink_no_return_check",
-    "spectral_nodes", "sweep_bandwidth", "sweep_wavelength",
-    "tophat_gamma_closed_form", "validate_tight_binding", "wavelength_grid",
+    "detuning_from_max_transfer", "effective_kappa", "effective_trap_rate",
+    "enaqt4_network", "enaqt_map", "ensemble_average", "evolve_lindblad",
+    "evolve_trapped", "evolve_unitary", "fit_coupling_curve", "g1",
+    "pair_transfer", "parse_config", "separation_for_coupling",
+    "sink_no_return_check", "spectral_nodes", "sweep_bandwidth",
+    "sweep_wavelength", "tophat_gamma_closed_form", "wavelength_grid",
 ]

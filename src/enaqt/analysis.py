@@ -1,4 +1,4 @@
-"""Efficiency metrics, dark-state diagnostics, and the sweep experiments.
+"""Dark-state diagnostics and the sweep experiments.
 
 Three numerical experiments are provided: a coherent wavelength sweep with
 an explicit sink (device-like), a bandwidth sweep comparing the spectral
@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,24 +26,11 @@ from .calibration import effective_trap_rate
 from .decoherence import (Spectrum, band_fit, coherent_efficiency, decoherence_strength,
                           spectral_nodes)
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
-from .propagate import AmplitudeState, EvolutionTrace, _eigh, _lindblad_runs
+from .propagate import AmplitudeState, _eigh, _lindblad_runs
 
 DARK_OVERLAP_THRESHOLD = 1e-12
 # reference efficiencies below this have trapped nothing yet but rounding
 ENHANCEMENT_FLOOR = 1e-15
-
-
-@dataclass(frozen=True)
-class EfficiencyPoint:
-    """One sweep sample: an axis coordinate, a length, and an efficiency."""
-
-    axis_value: float
-    z_cm: float
-    efficiency: float
-
-    def __post_init__(self):
-        if not -1e-9 <= self.efficiency <= 1.0 + 1e-9:
-            raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
 
 
 def effective_kappa(net: NetworkSpec) -> float:
@@ -52,59 +39,6 @@ def effective_kappa(net: NetworkSpec) -> float:
         raise ValueError("no sink on the network and no explicit kappa given")
     return effective_trap_rate(net.sink.c_trap_per_cm / net.sink.c_sink_per_cm,
                                net.sink.c_sink_per_cm)
-
-
-def efficiency(trace: EvolutionTrace, z: float) -> float:
-    """Trapped fraction at a grid point z of an evolution trace.
-
-    z must lie on the trace grid; interpolation is refused so efficiencies
-    always come from actually simulated points.
-    """
-    hits = np.nonzero(np.abs(trace.z_grid - z) <= 1e-9 * max(1.0, abs(z)))[0]
-    if hits.size == 0:
-        raise ValueError(f"z={z} is not on the trace grid; refusing to interpolate")
-    return float(trace.sink_population[hits[0]])
-
-
-def enaqt_metric(wavelengths_nm: Sequence[float], etas: Sequence[float],
-                 bandwidth_nm: float, lambda0_nm: float) -> float:
-    """Relative enhancement of the band-averaged efficiency over eta(lambda0).
-
-    The band average is uniform in wavelength over
-    (lambda0 - bandwidth/2, lambda0 + bandwidth/2), computed by trapezoid
-    on the sweep grid with linearly interpolated band edges.  Invariant
-    under rescaling all efficiencies, and exactly 0 at zero bandwidth.
-    """
-    lams = np.asarray(wavelengths_nm, dtype=float)
-    vals = np.asarray(etas, dtype=float)
-    if lams.ndim != 1 or lams.shape != vals.shape or lams.size < 2:
-        raise ValueError("need matching 1-d wavelength and efficiency arrays")
-    if np.any(np.diff(lams) <= 0):
-        raise ValueError("wavelength grid must be strictly increasing")
-    if bandwidth_nm < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {bandwidth_nm}")
-
-    on_grid = np.nonzero(np.abs(lams - lambda0_nm) <= 1e-9 * lambda0_nm)[0]
-    if on_grid.size == 0:
-        raise ValueError(f"lambda0={lambda0_nm} nm is not on the sweep grid")
-    eta0 = vals[on_grid[0]]
-    if eta0 == 0:
-        raise ValueError("efficiency at the center wavelength is zero")
-    if bandwidth_nm == 0:
-        return 0.0
-
-    lo = lambda0_nm - 0.5 * bandwidth_nm
-    hi = lambda0_nm + 0.5 * bandwidth_nm
-    if lo < lams[0] - 1e-9 or hi > lams[-1] + 1e-9:
-        raise ValueError(
-            f"band [{lo}, {hi}] nm exceeds the sweep range [{lams[0]}, {lams[-1]}] nm")
-
-    inside = (lams > lo) & (lams < hi)
-    xs = np.concatenate(([lo], lams[inside], [hi]))
-    ys = np.concatenate(([np.interp(lo, lams, vals)], vals[inside],
-                         [np.interp(hi, lams, vals)]))
-    mean_eta = np.trapezoid(ys, xs) / (hi - lo)
-    return float((mean_eta - eta0) / eta0)
 
 
 @dataclass(frozen=True)
@@ -184,11 +118,6 @@ class SweepResult:
             # repr (3.0, -0.0, 1e-300); a block at a time bounds the memory
             for lo in range(0, self.n_rows, 256):
                 writer.writerows(zip(*(col[lo:lo + 256].tolist() for col in cols)))
-
-    def efficiency_points(self, axis: str, z_cm: float) -> List[EfficiencyPoint]:
-        """View an efficiency column as typed sweep samples."""
-        return [EfficiencyPoint(float(a), z_cm, float(e))
-                for a, e in zip(self.columns[axis], self.columns["efficiency"])]
 
 
 def network_fingerprint(net: NetworkSpec) -> str:

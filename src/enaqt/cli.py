@@ -242,24 +242,26 @@ def _cmd_check(args) -> int:
         print("[skip] ensemble quadrature convergence: needs a broadband spectrum "
               "and an explicit sink")
 
-    # closed form for the tophat decoherence strength
+    # self-test, whatever the configured spectrum: the closed form for the
+    # decoherence strength of a fixed 95 nm tophat
     spec_ref = decoherence.Spectrum.tophat(lam0, 95.0)
     db = net.dispersion.detuning0_per_cm
     if db > 0:
         got = decoherence.decoherence_strength(spec_ref, db, lam0)
         want = decoherence.tophat_gamma_closed_form(db, 95.0, lam0)
         rel = abs(got - want) / want
-        report("decoherence strength closed form", rel < 1e-6,
+        report("decoherence strength closed form (self-test)", rel < 1e-6,
                f"quadrature {got:.8f} vs closed form {want:.8f} (rel {rel:.1e})")
     else:
         print("[skip] decoherence strength: network has no reference detuning")
 
-    # two-guide beat against the generic propagator
+    # self-test on a fixed pair of guides: the two-guide beat against the
+    # generic propagator
     c, dbeta, z = 1.3, 0.7, 4.2
     h2 = lattice.HamiltonianMatrix(np.array([[0.0, c], [c, dbeta]]), lam0, 2)
     trace = propagate.evolve_unitary(h2, propagate.AmplitudeState.site(2, 0), [z])
     err = abs(trace.populations[-1, 1] - calibration.pair_transfer(c, dbeta, z))
-    report("pair-transfer oracle", err < 1e-10, f"|mismatch| {err:.2e}")
+    report("pair-transfer oracle (self-test)", err < 1e-10, f"|mismatch| {err:.2e}")
 
     # dark-mode census: the coherent ceiling must be where trapping saturates
     h_sys = lattice.build_hamiltonian(net, lam0, include_sink=False)

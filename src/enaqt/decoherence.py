@@ -269,11 +269,6 @@ def tophat_gamma_closed_form(delta_beta: float, fwhm_nm: float, lambda0_nm: floa
     return delta_beta * fwhm_nm / (2.0 * math.pi * lambda0_nm)
 
 
-def delay_for_distance(z_cm: float, delta_beta: float, lambda0_nm: float) -> float:
-    """Delay tau (s) accumulated between two guides detuned by delta_beta."""
-    return z_cm * delta_beta * nm_to_cm(lambda0_nm) / (2.0 * math.pi * C_LIGHT_CM_PER_S)
-
-
 def coherence_decay_pair(delta_beta: float, lambda0_nm: float, spectrum: Spectrum,
                          z_cm: float, rho_ab0: complex) -> complex:
     """Coherence between two uncoupled guides after propagating z.
@@ -283,7 +278,8 @@ def coherence_decay_pair(delta_beta: float, lambda0_nm: float, spectrum: Spectru
     the broadband decay.  The element convention follows evolution under a
     diagonal Hamiltonian with the detuned guide as the row index.
     """
-    tau = delay_for_distance(z_cm, delta_beta, lambda0_nm)
+    # delay tau (s) accumulated between two guides detuned by delta_beta
+    tau = z_cm * delta_beta * nm_to_cm(lambda0_nm) / (2.0 * math.pi * C_LIGHT_CM_PER_S)
     return complex(rho_ab0) * g1(spectrum, tau)
 
 

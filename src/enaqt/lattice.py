@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -240,68 +240,3 @@ def build_hamiltonian(net: NetworkSpec, wavelength_nm: float,
     h = disp.coupling_scale(wavelength_nm) * couplings
     np.fill_diagonal(h, disp.beta0_per_cm + disp.detuning_scale(wavelength_nm) * detunings)
     return HamiltonianMatrix(h, wavelength_nm, net.n_sites)
-
-
-def required_sink_length(net: NetworkSpec, z_cm: float,
-                         max_wavelength_nm: Optional[float] = None,
-                         pad: int = 10) -> int:
-    """Sink-guide count that keeps the far boundary outside the light cone.
-
-    A chain with hopping C transports excitations at most 2*C sites per cm,
-    so reflections off the far end cannot reach back while the chain is
-    longer than the one-way cone.  Sized at the largest coupling scale in
-    the wavelength range of interest.
-    """
-    if net.sink is None:
-        raise ValueError("network has no sink")
-    lam = max_wavelength_nm if max_wavelength_nm is not None else net.dispersion.lambda0_nm
-    c_sink = net.sink.c_sink_per_cm * net.dispersion.coupling_scale(lam)
-    return int(math.ceil(2.0 * c_sink * z_cm)) + pad
-
-
-@dataclass(frozen=True)
-class TightBindingReport:
-    """Outcome of the omitted-coupling audit."""
-
-    min_retained_per_cm: float
-    threshold_per_cm: float
-    flagged: Tuple[Tuple[Optional[int], Optional[int], float], ...]
-    checked: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.flagged
-
-
-def validate_tight_binding(net: NetworkSpec,
-                           non_neighbour_couplings: Iterable,
-                           fraction: float = 0.05) -> TightBindingReport:
-    """Audit couplings omitted from the network model.
-
-    Takes geometry-derived estimates for pairs the model leaves uncoupled,
-    as bare values or ``(site_i, site_j, value)`` triples, and flags any
-    that exceed ``fraction`` of the smallest retained coupling.  Report
-    only; nothing is raised.
-    """
-    retained = [abs(c) for _, _, c in net.couplings]
-    if net.sink is not None:
-        retained += [net.sink.c_trap_per_cm, net.sink.c_sink_per_cm]
-    min_retained = min(retained) if retained else math.inf
-    threshold = fraction * min_retained
-
-    flagged = []
-    checked = 0
-    for item in non_neighbour_couplings:
-        if isinstance(item, (tuple, list)):
-            i, j, value = int(item[0]), int(item[1]), float(item[2])
-        else:
-            i, j, value = None, None, float(item)
-        checked += 1
-        if abs(value) > threshold:
-            flagged.append((i, j, value))
-    return TightBindingReport(
-        min_retained_per_cm=min_retained,
-        threshold_per_cm=threshold,
-        flagged=tuple(flagged),
-        checked=checked,
-    )

@@ -473,8 +473,7 @@ def _check_density_stack(rhos: np.ndarray) -> Dict[str, float]:
 
 
 def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, target: int,
-                   dephasing_site: int, rho0, z_grid,
-                   uniform_dephasing: bool = False) -> Tuple[np.ndarray, Dict[str, float]]:
+                   dephasing_site: int, rho0, z_grid) -> Tuple[np.ndarray, Dict[str, float]]:
     """The master-equation engine: densities of a stack of runs, shape
     (runs, nz, d, d), and their ``_check_density_stack`` margins.
 
@@ -501,8 +500,8 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
     proj = np.zeros((dim, dim))
     proj[target, target] = 1.0
     trapping = 0.5 * kappa * (np.kron(proj, eye) + np.kron(eye, proj))
-    # damped coherences: dephasing site against every other, or all of them
-    mask = np.full((dim, dim), 1.0 if uniform_dephasing else 0.0)
+    # damped coherences: the dephasing site against every other
+    mask = np.zeros((dim, dim))
     mask[dephasing_site, :] = mask[:, dephasing_site] = 1.0
     np.fill_diagonal(mask, 0.0)
     dephasing = np.diag(mask.ravel())
@@ -518,16 +517,14 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
 
 def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
                     dephasing_rate: float, dephasing_site: int,
-                    rho0, z_grid,
-                    uniform_dephasing: bool = False) -> EvolutionTrace:
+                    rho0, z_grid) -> EvolutionTrace:
     """Master equation with trapping and pure dephasing.
 
     Solves drho/dz = -i[H, rho] - (kappa/2){|t><t|, rho} + gamma D(rho)
     where D damps exactly the coherences between ``dephasing_site`` and
     every other site at rate gamma (coherence decay rate gamma, not
     gamma/2; this matches quantifying decoherence through the decay of the
-    interference envelope).  Site-uniform dephasing is available behind
-    ``uniform_dephasing`` for exploration.
+    interference envelope).
 
     Exact for this z-independent generator: the row-major Liouvillian
     -i(H x I - I x H^T) - (kappa/2)(P x I + I x P) - gamma diag(mask) is
@@ -550,7 +547,7 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
     """
     zs = _as_zgrid(z_grid)
     rhos = _lindblad_runs([h], [[dephasing_rate]], kappa, target, dephasing_site,
-                          rho0, zs, uniform_dephasing)[0][0]
+                          rho0, zs)[0][0]
     return _trace(h, zs, np.real(np.einsum("zii->zi", rhos)), rhos)
 
 

@@ -7,67 +7,11 @@ import pytest
 
 from enaqt import decoherence
 from enaqt import (AmplitudeState, DispersionModel, HamiltonianMatrix, Spectrum,
-                   build_hamiltonian, dark_state_diagnostics, efficiency, enaqt4_network,
-                   enaqt_map, enaqt_metric, ensemble_average, evolve_trapped,
-                   SweepResult, spectral_nodes, sweep_bandwidth, sweep_wavelength,
-                   tophat_gamma_closed_form, wavelength_grid)
+                   build_hamiltonian, dark_state_diagnostics, enaqt4_network, enaqt_map,
+                   ensemble_average, evolve_trapped, SweepResult, spectral_nodes,
+                   sweep_bandwidth, sweep_wavelength, tophat_gamma_closed_form,
+                   wavelength_grid)
 from conftest import DARK_VECTOR, LAMBDA0
-
-
-# ---------------------------------------------------------------------------
-# efficiency and the enhancement metric
-
-def test_efficiency_zero_at_start(h_system, design_kappa):
-    trace = evolve_trapped(h_system, design_kappa, 2, AmplitudeState.site(4, 0),
-                           [0.0, 1.0, 2.0])
-    assert efficiency(trace, 0.0) == 0.0
-
-
-def test_efficiency_refuses_off_grid(h_system, design_kappa):
-    trace = evolve_trapped(h_system, design_kappa, 2, AmplitudeState.site(4, 0),
-                           [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        efficiency(trace, 1.5)
-
-
-def test_efficiency_long_run_limit(h_system, design_kappa):
-    trace = evolve_trapped(h_system, design_kappa, 2, AmplitudeState.site(4, 0),
-                           [0.0, 500.0])
-    assert efficiency(trace, 500.0) == pytest.approx(2 / 3, abs=1e-3)
-
-
-def test_enaqt_metric_reference_arithmetic():
-    lams = np.linspace(745.0, 840.0, 191)
-    flat = np.full_like(lams, 0.684)
-    flat[np.argmin(np.abs(lams - 792.5))] = 0.636
-    # away from the center the curve is flat at 0.684, so the band average
-    # over any reasonable bandwidth is ~0.684 and the metric ~0.0755
-    out = enaqt_metric(lams, flat, 95.0, 792.5)
-    assert out == pytest.approx((0.684 - 0.636) / 0.636, rel=1e-2)
-
-
-def test_enaqt_metric_trivial_cases():
-    lams = np.linspace(700.0, 900.0, 201)
-    etas = 0.7 + 0.1 * np.sin(lams / 17.0)
-    assert enaqt_metric(lams, etas, 0.0, 800.0) == 0.0
-    flat = np.full_like(lams, 0.5)
-    assert enaqt_metric(lams, flat, 60.0, 800.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_enaqt_metric_scale_invariant():
-    lams = np.linspace(700.0, 900.0, 201)
-    etas = 0.5 + 0.2 * np.cos((lams - 800.0) / 25.0)
-    a = enaqt_metric(lams, etas, 80.0, 800.0)
-    b = enaqt_metric(lams, 3.7 * etas, 80.0, 800.0)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_enaqt_metric_band_must_fit():
-    lams = np.linspace(780.0, 805.0, 26)
-    with pytest.raises(ValueError):
-        enaqt_metric(lams, np.full_like(lams, 0.5), 95.0, 792.0)
-    with pytest.raises(ValueError):
-        enaqt_metric(lams, np.full_like(lams, 0.5), 10.0, 600.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +116,6 @@ def test_sweep_minimum_converges_to_center():
     etas = result.column("efficiency")
     lam_min = lams[np.argmin(etas)]
     assert abs(lam_min - LAMBDA0) <= 0.5
-
-
-def test_efficiency_points_view():
-    from enaqt import EfficiencyPoint, effective_kappa
-
-    net = enaqt4_network()
-    assert effective_kappa(net) == pytest.approx(4.992, abs=1e-3)
-    result = sweep_wavelength(net, np.array([790.0, 792.5]), 5.0)
-    points = result.efficiency_points("wavelength_nm", 5.0)
-    assert [p.axis_value for p in points] == [790.0, 792.5]
-    assert all(0.0 <= p.efficiency <= 1.0 for p in points)
-    with pytest.raises(ValueError):
-        EfficiencyPoint(800.0, 5.0, 1.7)
 
 
 def test_sweep_result_csv_round_trip(tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enaqt import (AmplitudeState, HamiltonianMatrix, TrapRatio,
-                   detuning_from_max_transfer, effective_trap_rate, evolve_unitary,
-                   fit_coupling_curve, pair_transfer, separation_for_coupling)
+                   detuning_from_max_transfer, effective_kappa, effective_trap_rate,
+                   enaqt4_network, evolve_unitary, fit_coupling_curve, pair_transfer,
+                   separation_for_coupling)
 
 
 def test_pair_transfer_full_beat():
@@ -104,8 +105,9 @@ def test_effective_trap_rate_values():
     assert effective_trap_rate(1e-6, 1.0) < 1e-11
     assert effective_trap_rate(1 / math.sqrt(2), 1.0) == pytest.approx(
         math.sqrt(2), abs=1e-12)
-    # design ratio 1.5/1.75 = 6/7 at c_sink = 1.75
+    # design ratio 1.5/1.75 = 6/7 at c_sink = 1.75, the design network's sink
     assert effective_trap_rate(6 / 7, 1.75) == pytest.approx(4.992, abs=1e-3)
+    assert effective_kappa(enaqt4_network()) == pytest.approx(4.992, abs=1e-3)
 
 
 def test_effective_trap_rate_accepts_ratio_type():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import enaqt
-from enaqt import decoherence, propagate
+from enaqt import calibration, decoherence, propagate
 from enaqt.cli import main
 from enaqt.config import bundled_network_path, default_config_dict
 
@@ -266,6 +266,12 @@ def test_package_runs_without_scipy():
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def test_every_export_resolves():
+    # `from enaqt import *` fails on a name in __all__ that the package lacks
+    missing = [name for name in enaqt.__all__ if not hasattr(enaqt, name)]
+    assert missing == []
+
+
 def test_map_subcommand(tmp_path):
     cfg = small_config(tmp_path, z_cm=6.0, z_step_cm=2.0)
     out = tmp_path / "out"
@@ -364,6 +370,26 @@ def test_check_quadrature_line_can_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] ensemble quadrature convergence: sink fraction moves 1.80e-03 " \
            "when nodes 3 -> 5" in out
+
+
+def test_check_closed_form_self_test_can_fail(monkeypatch, capsys):
+    strength = decoherence.decoherence_strength
+    monkeypatch.setattr(decoherence, "decoherence_strength",
+                        lambda *a, **k: strength(*a, **k) * (1.0 + 1e-3))
+    assert main(["check", str(bundled_network_path())]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] decoherence strength closed form (self-test)" in out
+    assert out.count("[FAIL]") == 1
+
+
+def test_check_pair_transfer_self_test_can_fail(monkeypatch, capsys):
+    transfer = calibration.pair_transfer
+    monkeypatch.setattr(calibration, "pair_transfer",
+                        lambda *a, **k: transfer(*a, **k) + 1e-6)
+    assert main(["check", str(bundled_network_path())]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] pair-transfer oracle (self-test)" in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_check_flags_short_sink(tmp_path, capsys):

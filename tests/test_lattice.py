@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enaqt import (DispersionModel, NetworkSpec, SinkSpec, build_hamiltonian,
-                   enaqt4_network, required_sink_length, validate_tight_binding)
+from enaqt import DispersionModel, NetworkSpec, SinkSpec, build_hamiltonian, enaqt4_network
 from conftest import DARK_VECTOR, LAMBDA0
 
 
@@ -130,27 +129,6 @@ def test_coupling_scale_is_one_at_center():
     for slope in (-0.02, 0.0, 0.01, 0.3):
         disp = DispersionModel(coupling_slope_per_nm=slope)
         assert disp.coupling_scale(LAMBDA0) == 1.0
-
-
-def test_validate_tight_binding_threshold(design_net):
-    ok = validate_tight_binding(design_net, [0.04])
-    assert ok.passed and ok.checked == 1
-    assert ok.min_retained_per_cm == 1.0
-
-    flagged = validate_tight_binding(design_net, [(0, 2, 0.06)])
-    assert not flagged.passed
-    assert flagged.flagged == ((0, 2, 0.06),)
-
-    empty = validate_tight_binding(design_net, [])
-    assert empty.passed and empty.checked == 0
-
-
-def test_required_sink_length_covers_light_cone(design_net):
-    n = required_sink_length(design_net, 15.0)
-    # one-way transport cone of a hopping chain is 2*C sites per cm
-    assert n >= int(2 * 1.75 * 15.0)
-    n_red = required_sink_length(design_net, 15.0, max_wavelength_nm=840.0)
-    assert n_red > n
 
 
 def test_system_block_strips_sink(design_net):

@@ -190,16 +190,6 @@ def test_lindblad_state_stays_physical(h_system, design_kappa):
     assert np.all(np.diff(traces) <= 1e-9)
 
 
-def test_lindblad_uniform_dephasing_flag(h_system, design_kappa):
-    rho0 = DensityState.pure(_site(4, 0))
-    site_only = evolve_lindblad(h_system, design_kappa, 2, 0.02, 3, rho0, [0.0, 10.0])
-    uniform = evolve_lindblad(h_system, design_kappa, 2, 0.02, 3, rho0, [0.0, 10.0],
-                              uniform_dephasing=True)
-    # uniform dephasing damps more coherences and is a different channel
-    assert uniform.sink_population[-1] != pytest.approx(
-        site_only.sink_population[-1], abs=1e-6)
-
-
 def test_propagate_matches_one_expm_per_z():
     # a random contraction: -i(H - i L/2) with H Hermitian and loss L >= 0
     rng = np.random.default_rng(3)
