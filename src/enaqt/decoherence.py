@@ -370,15 +370,19 @@ def coherent_efficiency(net: NetworkSpec, wavelengths_nm, psi0, z_cm: float) -> 
 def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit:
     """Fit eta_coh = 1 - sum_system |psi(z)|^2 over the spectrum's band.
 
-    Samples eta at Chebyshev-Lobatto points in angular frequency, one
-    coherent run each, and goes from n to 2n - 1 points, running only the
-    new odd-index ones, until the trailing quarter of the Chebyshev
-    coefficients is below ``FIT_TAIL`` (size chosen as in Aurentz and
-    Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).  eta is
-    a probability, so the bound is absolute, and eta = 0 stops at the
-    first size.  A fit that would need more than ``FIT_MAX_POINTS``
-    points raises NumericalError.  A band of zero width is the single run
-    at its center.
+    Fits eta at n Chebyshev-Lobatto points in angular frequency, one
+    coherent run each, from n = ``FIT_FIRST_POINTS`` and going from n to
+    2n - 1 points, until the trailing quarter of the Chebyshev coefficients
+    is below ``FIT_TAIL`` (size chosen as in Aurentz and Trefethen,
+    "Chopping a Chebyshev series", ACM TOMS 43, 2017).  eta is a
+    probability, so the bound is absolute, and eta = 0 stops at the first
+    size.  The sizes nest: the first propagator call samples the size two
+    doublings on, where a call costs little more than at the first size,
+    and the smaller sizes are its every 4th and every 2nd point.  Each
+    later doubling runs only the new odd-index points.  So the runs can
+    exceed the fit's points by up to 3 (n - 1).  A fit that would need more
+    than ``FIT_MAX_POINTS`` points raises NumericalError.  A band of zero
+    width is the single run at its center.
     """
     w0, half = spectrum.center_angular_frequency, spectrum.half_band
 
@@ -387,9 +391,15 @@ def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit
 
     if half == 0.0:
         return BandFit(w0, 0.0, eta(np.zeros(1)), 0.0)
-    n = FIT_FIRST_POINTS
-    values = eta(_lobatto(n))
+    # the first call samples up to two doublings past the first size
+    n = sampled = FIT_FIRST_POINTS
+    for _ in range(2):
+        if 2 * sampled - 1 <= FIT_MAX_POINTS:
+            sampled = 2 * sampled - 1
+    samples = eta(_lobatto(sampled))
     while True:
+        # the n Lobatto points are every ((sampled - 1) / (n - 1))-th sample
+        values = samples[::(sampled - 1) // (n - 1)]
         coeffs = _lobatto_coefficients(values)
         tail = float(np.abs(coeffs[n - n // 4:]).max())
         if tail < FIT_TAIL:
@@ -398,10 +408,12 @@ def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit
             raise NumericalError(
                 f"band fit of eta_coh not converged at {n} points "
                 f"(tail {tail:.1e}, bound {FIT_TAIL:.0e})")
-        grown = np.empty(2 * n - 1)
-        grown[0::2] = values
-        grown[1::2] = eta(_lobatto(2 * n - 1)[1::2])
-        n, values = 2 * n - 1, grown
+        n = 2 * n - 1
+        if n > sampled:
+            grown = np.empty(n)
+            grown[0::2] = samples
+            grown[1::2] = eta(_lobatto(n)[1::2])
+            sampled, samples = n, grown
 
 
 @dataclass(eq=False)

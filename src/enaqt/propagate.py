@@ -166,7 +166,7 @@ def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     """
     zs = _as_zgrid(z_grid)
     amps = _initial_amplitudes(psi0, h.dimension)
-    return _trace(h, zs, np.abs(_unitary_amplitudes(h, amps, zs)) ** 2)
+    return _trace(h, zs, np.abs(_unitary_amplitudes(h, amps, zs, slice(h.n_system))) ** 2)
 
 
 def _eigh(matrix: np.ndarray):
@@ -177,14 +177,16 @@ def _eigh(matrix: np.ndarray):
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _unitary_amplitudes(h: HamiltonianMatrix, amps: np.ndarray,
-                        zs: np.ndarray) -> np.ndarray:
+def _unitary_amplitudes(h: HamiltonianMatrix, amps: np.ndarray, zs: np.ndarray,
+                        guides=slice(None)) -> np.ndarray:
     """Rows psi(z) = exp(-iHz) amps for each z, from one eigendecomposition
-    of the real-symmetric H: the propagator of one Hamiltonian over a z grid."""
+    of the real-symmetric H: the propagator of one Hamiltonian over a z grid.
+    Only the entries of the guides that the index ``guides`` selects are
+    formed and returned, all of them by default."""
     energies, modes = _eigh(h.entries)
     coeffs = modes.conj().T @ amps
     phases = np.exp(-1j * np.outer(zs, energies))
-    return (modes @ (phases * coeffs).T).T
+    return (modes[guides] @ (phases * coeffs).T).T
 
 
 def _bessel_j(x: np.ndarray) -> np.ndarray:
@@ -193,7 +195,14 @@ def _bessel_j(x: np.ndarray) -> np.ndarray:
     an order far enough above x that J_k is below ``SERIES_TOL`` long
     before, rescaled on the way down and normalised by J_0 + 2 sum J_2k = 1.
     Values below ``SERIES_TOL`` are set to 0, so a column does not depend on
-    the other x of the call.  An x below ``SERIES_TOL`` gives J_0 = 1 alone."""
+    the other x of the call.  An x below ``SERIES_TOL`` gives J_0 = 1 alone.
+
+    A column is rescaled by 1e-150 once it passes 1e150.  Rows are scanned
+    for that only while a bound on them could pass it: B_k >= max |J_k| over
+    the columns, with B_(k-1) = (2k/x_min) B_k + B_(k+1) (slightly inflated
+    to cover rounding), at least 1 from each seed, and reset to the true row
+    maxima after a scan.  So the rescales, and every bit of the table, are
+    those of a scan at every order."""
     zero = x < SERIES_TOL
     starts = np.where(zero, 0, (x + 15.0 * np.cbrt(x)).astype(int) + 30)
     top = int(starts.max())
@@ -201,17 +210,28 @@ def _bessel_j(x: np.ndarray) -> np.ndarray:
     # factors[k] = 2k/x, each row as k * (2/x)
     factors = np.outer(np.arange(top + 1), 2.0 / np.where(zero, 1.0, x))
     seeds = {int(k): starts == k for k in np.unique(starts) if k > 0}
+    x_min = float(x[~zero].min()) if top else 1.0
+    bound, bound_above = 0.0, 0.0  # B_k and B_(k+1)
     for k in range(top, 0, -1):
         if k in seeds:
             table[k, seeds[k]] = 1.0
+            bound = max(bound, 1.0)
         row = table[k - 1]
         np.multiply(factors[k], table[k], out=row)
         np.subtract(row, table[k + 1], out=row)
-        if np.abs(row).max() > 1e150:
-            big = np.abs(row) > 1e150
-            table[k - 1:, big] *= 1e-150
+        # the 1e-12 covers the few roundings of each order, row and bound alike
+        bound, bound_above = (2.0 * k / x_min * bound + bound_above) * (1.0 + 1e-12), bound
+        if bound > 1e150:
+            if np.abs(row).max() > 1e150:
+                big = np.abs(row) > 1e150
+                table[k - 1:, big] *= 1e-150
+            bound = float(np.abs(row).max())
+            bound_above = float(np.abs(table[k]).max())
     table[0, zero] = 1.0
-    table /= table[0] + 2.0 * table[2::2].sum(axis=0)
+    # the even orders are summed one after another, as numpy sums the rows of
+    # a batch; a lone column would be summed pairwise, in other bits
+    evens = np.add.accumulate(table[2::2], axis=0)[-1] if top else 0.0
+    table /= table[0] + 2.0 * evens
     table[np.abs(table) < SERIES_TOL] = 0.0
     return table
 
@@ -296,8 +316,8 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     long = half * z > SERIES_MAX_ARGUMENT
     if long.any():
         out = np.empty((lams.size, keep), dtype=complex)
-        out[long] = [_unitary_amplitudes(build_hamiltonian(net, lam), amps, [z])[0, :keep]
-                     for lam in lams[long]]
+        out[long] = [_unitary_amplitudes(build_hamiltonian(net, lam), amps, [z],
+                                         slice(keep))[0] for lam in lams[long]]
         if not long.all():
             out[~long] = _wavelength_amplitudes(net, lams[~long], amps, z, rows)
         return out
@@ -315,27 +335,33 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     cur = np.repeat((amps if parts == 2 else amps.real)[:, None], lams.size, axis=1)
     cur = cur.view(float)
 
+    # the diagonal term acts only on the rows [lo, hi) where shift is nonzero
+    on = np.flatnonzero(shift.any(axis=1))
+    lo, hi = (on[0], on[-1] + 1) if on.size else (0, 0)
+
     # every order writes only inside the forward cone, so each buffer stays
-    # zero past it and a row the cone has just reached reads as T_k = 0
-    even, odd = weights[0] * cur, np.zeros_like(cur)
+    # zero past it and a row the cone has just reached reads as T_k = 0.
+    # Only the returned rows are summed into the series.
+    even, odd = weights[0] * cur[:keep], np.zeros_like(cur[:keep])
     prev, nxt, tmp = np.zeros_like(cur), np.zeros_like(cur), np.empty_like(cur)
     for k in range(1, weights.shape[0]):
         m = cone[k]
-        np.matmul(couplings[:m, :cone[k - 1]], cur[:cone[k - 1]], out=tmp[:m])
-        tmp[:m] *= scale
-        np.multiply(shift[:m], cur[:m], out=nxt[:m])
-        nxt[:m] += tmp[:m]
+        np.matmul(couplings[:m, :cone[k - 1]], cur[:cone[k - 1]], out=nxt[:m])
+        nxt[:m] *= scale
+        d = slice(lo, min(hi, m))
+        np.multiply(shift[d], cur[d], out=tmp[d])
+        nxt[d] += tmp[d]
         if k == 1:
             nxt[:m] *= 0.5
         else:
             nxt[:m] -= prev[:m]
-        np.multiply(weights[k], nxt[:m], out=tmp[:m])
+        r = min(m, keep)
+        np.multiply(weights[k], nxt[:r], out=tmp[:r])
         total = odd if k % 2 else even
-        total[:m] += tmp[:m]
+        total[:r] += tmp[:r]
         prev, cur, nxt = cur, nxt, prev
 
     # psi = exp(-iez) (even - i odd)
-    even, odd = even[:keep], odd[:keep]
     if parts == 2:
         psi = odd.view(complex)
         psi *= -1j
@@ -596,9 +622,11 @@ def sink_no_return_check(net: NetworkSpec, z_max: float,
         zs = np.arange(0.0, z_max + 0.5 * z_step, z_step)
 
     def run(spec: NetworkSpec):
+        # the system guides, then the last sink guide
         h = build_hamiltonian(spec, lam)
         psi0 = AmplitudeState.site(h.dimension, spec.input_site)
-        return np.abs(_unitary_amplitudes(h, psi0.amplitudes, zs)) ** 2
+        guides = np.append(np.arange(spec.n_sites), h.dimension - 1)
+        return np.abs(_unitary_amplitudes(h, psi0.amplitudes, zs, guides)) ** 2
 
     pops = run(net)
     longer = dataclasses.replace(

@@ -217,6 +217,40 @@ def test_band_fit_runs_each_point_once(design_net, monkeypatch):
     assert len(lams) > decoherence.FIT_FIRST_POINTS
 
 
+def test_band_fit_bundled_sweep_takes_two_propagator_calls(design_net, monkeypatch):
+    # the first call samples 65 points, which hold the sizes 17 and 33; the
+    # one doubling past it runs only the 64 new points
+    widths = []
+    kernel = decoherence._wavelength_amplitudes
+
+    def counting(net, wavelengths, amps, z, rows=None):
+        widths.append(len(wavelengths))
+        return kernel(net, wavelengths, amps, z, rows)
+
+    monkeypatch.setattr(decoherence, "_wavelength_amplitudes", counting)
+    res = sweep_bandwidth(design_net, DEFAULT_BANDWIDTHS, 15.0, nodes=41, sensitivity=0.0)
+    assert res.metadata["ensemble_fit"]["points"] == 129
+    assert widths == [65, 64]
+
+
+def test_band_fit_converges_on_a_nested_subset(design_net, monkeypatch):
+    # a 20 nm band converges at 33 points, every 2nd point of the 65 sampled,
+    # with the coefficients of those 33 samples alone
+    samples = []
+    efficiency = decoherence.coherent_efficiency
+
+    def recording(*args):
+        samples.append(efficiency(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(decoherence, "coherent_efficiency", recording)
+    psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)
+    fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 20.0), psi0, 15.0)
+    assert [s.size for s in samples] == [65]
+    assert fit.points == 33
+    assert np.array_equal(fit.coeffs, decoherence._lobatto_coefficients(samples[0][::2]))
+
+
 def test_band_fit_degenerate_cases(design_net):
     # zero bandwidth only: one coherent run, the reference row itself
     psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -523,6 +524,38 @@ def test_wavelength_amplitudes_reject_negative_z(design_net):
     amps = _site(design_net.dimension, 0).amplitudes
     with pytest.raises(ValueError, match="non-negative"):
         _wavelength_amplitudes(design_net, [LAMBDA0], amps, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Bessel table of the series weights
+
+BESSEL_X = np.array([0.0, 1e-12, 1e-6, 0.5, 33.0, 87.0, 999.0])
+
+
+def test_bessel_j_matches_scipy():
+    table = propagate._bessel_j(BESSEL_X)
+    want = scipy.special.jv(np.arange(table.shape[0])[:, None], BESSEL_X)
+    assert np.max(np.abs(table - want)) < 1e-13
+
+
+def test_bessel_j_column_matches_its_x_alone():
+    table = propagate._bessel_j(BESSEL_X)
+    for i, x in enumerate(BESSEL_X):
+        alone = propagate._bessel_j(np.array([x]))[:, 0]
+        assert np.array_equal(table[:alone.size, i], alone)
+        assert not table[alone.size:, i].any()
+
+
+def test_bessel_j_rescales_a_tiny_argument():
+    # at x = 1e-10 the recurrence grows by 2k/x > 1e11 an order: without a
+    # rescale the table overflows long before order 0
+    table = propagate._bessel_j(np.array([1e-10, 50.0]))
+    assert np.all(np.isfinite(table))
+    assert table[0, 0] == 1.0
+    assert table[1, 0] == pytest.approx(5e-11, rel=1e-12)
+    assert not table[2:, 0].any()
+    want = scipy.special.jv(np.arange(table.shape[0]), 50.0)
+    assert np.max(np.abs(table[:, 1] - want)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
