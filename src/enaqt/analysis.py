@@ -112,12 +112,13 @@ class SweepResult:
         names = list(self.columns.keys())
         cols = [np.asarray(self.columns[n], dtype=float) for n in names]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(names)
-            # blocks of rows as Python floats, which csv writes as their
-            # repr (3.0, -0.0, 1e-300); a block at a time bounds the memory
+            csv.writer(fh, lineterminator="\n").writerow(names)
+            # blocks of rows as the repr of Python floats (3.0, -0.0, 1e-300,
+            # nan), joined into one string per block; a block at a time bounds
+            # the memory
             for lo in range(0, self.n_rows, 256):
-                writer.writerows(zip(*(col[lo:lo + 256].tolist() for col in cols)))
+                texts = [list(map(repr, col[lo:lo + 256].tolist())) for col in cols]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*texts)))
 
 
 def network_fingerprint(net: NetworkSpec) -> str:

@@ -375,9 +375,23 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     return psi.T
 
 
+def _grid_steps(zs: np.ndarray) -> np.ndarray:
+    """The step to each z of the grid from the one before it, the first from
+    z = 0.  A grid that is exactly zs[0] + h * arange(n) in floating point,
+    h = (zs[-1] - zs[0]) / (n - 1), steps by h after its first z, though its
+    rounded differences spread over several values."""
+    steps = np.diff(zs, prepend=0.0)
+    if zs.size > 2:
+        h = (zs[-1] - zs[0]) / (zs.size - 1)
+        if np.array_equal(zs, zs[0] + h * np.arange(zs.size)):
+            steps[1:] = h
+    return steps
+
+
 def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Rows exp(gen z) v for each z of a non-decreasing grid from z >= 0,
-    stepping with exp(gen dz), one exponential per distinct nonzero step dz.
+    stepping with exp(gen dz), one exponential per distinct nonzero step dz
+    of ``_grid_steps``: two at most on a uniform grid (its first z and h).
 
     ``gen`` may also be a stack of runs' generators (runs, n, n), with ``v``
     one start vector per run or one shared by all; the result is then
@@ -389,7 +403,7 @@ def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """
     single = gen.ndim == 2
     gens = gen[None] if single else gen
-    dzs, step_of = np.unique(np.diff(zs, prepend=0.0), return_inverse=True)
+    dzs, step_of = np.unique(_grid_steps(zs), return_inverse=True)
     moving = dzs != 0.0
     n_moving = int(moving.sum())
     step_index = np.cumsum(moving) - 1
@@ -446,8 +460,9 @@ def evolve_trapped(h: HamiltonianMatrix, kappa: float, target: int,
     """Irreversible trapping at rate kappa on the target site.
 
     Evolves under H - i(kappa/2)|t><t| by stepping the exact propagator
-    exp(-i H_eff dz), computed once per distinct grid step.  The population
-    decay rate of an isolated trapped site is exactly kappa.
+    exp(-i H_eff dz), computed once per distinct nonzero grid step; a
+    uniform grid steps by one h after its first z (``_grid_steps``).  The
+    population decay rate of an isolated trapped site is exactly kappa.
     """
     h_eff = _trapped_hamiltonian(h, kappa, target)
     zs = _as_zgrid(z_grid)
@@ -470,16 +485,18 @@ def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
     """How physical a stack of density runs is, shape (runs, nz, d, d) or
     one run (nz, d, d): the largest trace increase within a run (step to
     step along z, or above 1), the smallest eigenvalue and the largest
-    Hermiticity error.  Runs are taken one at a time, so no run's trace is
-    compared with another's and the scratch memory is one run's."""
-    max_growth, herm, min_eig = -math.inf, 0.0, math.inf
+    Hermiticity error.  Traces and Hermiticity are taken one run at a time,
+    so no run's trace is compared with another's and their scratch memory
+    is one run's; the eigenvalues of the whole stack come from one
+    ``eigvalsh`` call, which returns only d per matrix."""
+    max_growth, herm = -math.inf, 0.0
     for run in rhos.reshape((-1,) + rhos.shape[-3:]):
         traces = np.real(np.einsum("zii->z", run))
         max_growth = max(max_growth, float(np.max(np.diff(traces), initial=0.0)),
                          float(traces.max()) - 1.0)
         herm = max(herm, float(np.max(np.abs(run - np.conj(np.swapaxes(run, 1, 2))))))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(run).min()))
-    return {"max_trace_increase": max_growth, "min_eigenvalue": min_eig,
+    return {"max_trace_increase": max_growth,
+            "min_eigenvalue": float(np.linalg.eigvalsh(rhos).min()),
             "max_hermiticity_error": herm}
 
 
@@ -554,7 +571,8 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
 
     Exact for this z-independent generator: the row-major Liouvillian
     -i(H x I - I x H^T) - (kappa/2)(P x I + I x P) - gamma diag(mask) is
-    exponentiated once per distinct nonzero grid step.  Unphysical output
+    exponentiated once per distinct nonzero grid step, and a uniform grid
+    steps by one h after its first z (``_grid_steps``).  Unphysical output
     (trace growth, a negative eigenvalue, lost Hermiticity) raises
     NumericalError.  This is the one-run case of ``_lindblad_runs``, which
     sweeps run as one stack.

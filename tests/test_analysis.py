@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import warnings
@@ -297,6 +298,32 @@ def test_write_csv_pins_its_bytes(tmp_path):
                                  b"3.0,-0.0,1.5\n"
                                  b"-2.0,1e-300,-7.0\n"
                                  b"0.0,0.30000000000000004,2.5e+16\n")
+
+
+def _csv_module_reference(result, path):
+    # the csv.writer version of write_csv, kept as a byte reference
+    names = list(result.columns.keys())
+    cols = [np.asarray(result.columns[n], dtype=float) for n in names]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for lo in range(0, result.n_rows, 256):
+            writer.writerows(zip(*(col[lo:lo + 256].tolist() for col in cols)))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
+def test_write_csv_matches_the_csv_module(rows, tmp_path):
+    values = np.array([-0.0, 0.0, 5e-324, 1e-300, 3.0, 1e16, np.nan, np.inf, -np.inf])
+    result = SweepResult(kind="t", metadata={}, columns={
+        "a": np.resize(values, rows),
+        "b_cm": np.resize(values[::-1], rows),
+        "n": np.arange(rows),
+    })
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    result.write_csv(got)
+    _csv_module_reference(result, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\n") == rows + 1
 
 
 def test_enaqt_map_adds_the_coherent_base_run(design_net):

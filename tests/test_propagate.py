@@ -205,6 +205,42 @@ def test_propagate_matches_one_expm_per_z():
     assert np.max(np.abs(got - want)) < 1e-13
 
 
+def _moved(zs, index):
+    zs = zs.copy()
+    zs[index] = np.nextafter(zs[index], np.inf)
+    return zs
+
+
+@pytest.mark.parametrize("zs, per_run", [
+    # rounded differences spread over 8 values, all of them 0.1
+    (0.1 * np.arange(151), 1),
+    (np.linspace(0.0, 15.0, 31), 1),
+    # the first step, 0.5, and then h
+    (0.5 + 0.1 * np.arange(151), 2),
+    # one interior z off the uniform grid: one exponential per distinct step
+    (_moved(0.1 * np.arange(151), 75), None),
+], ids=["cli-grid", "linspace", "non-zero-start", "moved-z"])
+def test_uniform_grid_steps_with_one_exponential(zs, per_run, monkeypatch):
+    if per_run is None:
+        steps = np.unique(np.diff(zs, prepend=0.0))
+        per_run = np.count_nonzero(steps)
+        assert per_run > 2
+    sizes = []
+
+    def counting(stack):
+        sizes.append(stack.shape[0])
+        return _expm(stack)
+
+    monkeypatch.setattr(propagate, "_expm", counting)
+    gens = np.stack([_unit_norm_generator(4, seed) for seed in (11, 12)])
+    v0 = np.array([1.0, 0.0, 0.0, 0.0])
+    got = _propagate(gens, v0, zs)
+    assert sizes == [per_run, per_run]
+    for gen, run in zip(gens, got):
+        want = np.array([scipy.linalg.expm(gen * z) @ v0 for z in zs])
+        assert np.max(np.abs(run - want)) < 1e-13
+
+
 def _unit_norm_generator(n, seed):
     # -i(H - iL/2) with H Hermitian and loss L >= 0, scaled to 1-norm 1
     rng = np.random.default_rng(seed)
@@ -289,6 +325,18 @@ def test_density_margins_read_the_injected_value(index, value, field, want):
     assert good["min_eigenvalue"] == pytest.approx(0.0, abs=1e-15)
     rhos[index] = value
     assert _density_margins(rhos)[field] == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("run, z", [(0, 0), (2, 3)], ids=["first", "last"])
+def test_density_margins_read_a_negative_eigenvalue_anywhere_in_a_stack(run, z):
+    # 3 runs x 4 z of one physical density; the injected one keeps its trace
+    rhos = np.tile(np.array([[0.5, 0.1], [0.1, 0.3]], dtype=complex), (3, 4, 1, 1))
+    assert _density_margins(rhos)["min_eigenvalue"] > 0.0
+    rhos[run, z] = [[0.5, 0.6], [0.6, 0.3]]
+    assert _density_margins(rhos)["min_eigenvalue"] == pytest.approx(
+        0.4 - math.sqrt(0.37), abs=1e-15)
+    with pytest.raises(NumericalError, match="eigenvalue"):
+        _check_density_stack(rhos)
 
 
 def _map_grid():
