@@ -12,9 +12,8 @@ from ._version import __version__
 from .analysis import (DarkStateReport, SweepResult, dark_state_diagnostics,
                        effective_kappa, enaqt_map, sweep_bandwidth,
                        sweep_wavelength, wavelength_grid)
-from .calibration import (CouplingCurve, TrapRatio, detuning_from_max_transfer,
-                          effective_trap_rate, fit_coupling_curve, pair_transfer,
-                          separation_for_coupling)
+from .calibration import (CouplingCurve, effective_trap_rate, fit_coupling_curve,
+                          pair_transfer)
 from .config import ConfigError, RunConfig, bundled_network_path, parse_config
 from .decoherence import (EnsembleResult, Spectrum, coherence_decay_pair,
                           coherence_time, decoherence_strength, ensemble_average,
@@ -30,13 +29,13 @@ __all__ = [
     "AmplitudeState", "ConfigError", "CouplingCurve", "DarkStateReport",
     "DensityState", "DispersionModel", "EnsembleResult", "EvolutionTrace",
     "HamiltonianMatrix", "NetworkSpec", "NoReturnReport", "NumericalError",
-    "RunConfig", "SinkSpec", "Spectrum", "SweepResult", "TrapRatio",
+    "RunConfig", "SinkSpec", "Spectrum", "SweepResult",
     "build_hamiltonian", "bundled_network_path", "coherence_decay_pair",
     "coherence_time", "dark_state_diagnostics", "decoherence_strength",
-    "detuning_from_max_transfer", "effective_kappa", "effective_trap_rate",
+    "effective_kappa", "effective_trap_rate",
     "enaqt4_network", "enaqt_map", "ensemble_average", "evolve_lindblad",
     "evolve_trapped", "evolve_unitary", "fit_coupling_curve", "g1",
-    "pair_transfer", "parse_config", "separation_for_coupling",
+    "pair_transfer", "parse_config",
     "sink_no_return_check", "spectral_nodes", "sweep_bandwidth",
     "sweep_wavelength", "tophat_gamma_closed_form", "wavelength_grid",
 ]

@@ -144,7 +144,13 @@ def _base_metadata(net: NetworkSpec, **extra) -> Dict:
 
 def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
                     step_nm: float) -> np.ndarray:
-    """Uniform grid anchored so that lambda0 is exactly on it."""
+    """Uniform grid anchored so that lambda0 is exactly on it.
+
+    This is the CLI's one grid rule, for z, bandwidth and gamma (anchored
+    at 0) as well as wavelength: it never passes ``max_nm`` by more than
+    1e-12 of a step, so a range that is no whole number of steps stops at
+    its last whole step.
+    """
     if step_nm <= 0:
         raise ValueError(f"step must be positive, got {step_nm}")
     k_lo = math.ceil((min_nm - lambda0_nm) / step_nm - 1e-12)

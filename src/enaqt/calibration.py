@@ -1,15 +1,13 @@
-"""Two-waveguide analytics and inverse-design helpers.
+"""Two-waveguide analytics and the coupling calibration fit.
 
 Everything here is closed-form coupled-mode theory for isolated pairs:
-power-transfer beats, detuning extraction from the maximum transfer, the
-exponential coupling-versus-separation fit, and the effective trapping
-rate of a tightly coupled chain.
+power-transfer beats, the exponential coupling-versus-separation fit, and
+the effective trapping rate of a tightly coupled chain.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -30,18 +28,6 @@ def pair_transfer(c: float, delta_beta: float, z: float) -> float:
     return (c / omega) ** 2 * math.sin(omega * z) ** 2
 
 
-def detuning_from_max_transfer(p_max: float) -> float:
-    """Invert the peak transfer p_max = C^2/(C^2 + delta_beta^2/4).
-
-    Returns the ratio delta_beta/C.  The peak transfer of a detuned pair
-    depends only on this ratio, which is what makes it usable as a
-    calibration observable.
-    """
-    if not 0 < p_max <= 1:
-        raise ValueError(f"p_max must lie in (0, 1], got {p_max}")
-    return 2.0 * math.sqrt(1.0 / p_max - 1.0)
-
-
 @dataclass(frozen=True)
 class CouplingCurve:
     """Exponential fit C(s) = A exp(-s/d) to measured pair couplings."""
@@ -50,14 +36,6 @@ class CouplingCurve:
     decay_length_um: float
     samples: Tuple[Tuple[float, float], ...]
     log_residuals: Tuple[float, ...]
-
-    def coupling_at(self, separation_um: float) -> float:
-        return self.amplitude_per_cm * math.exp(-separation_um / self.decay_length_um)
-
-    @property
-    def separation_range_um(self) -> Tuple[float, float]:
-        seps = [s for s, _ in self.samples]
-        return (min(seps), max(seps))
 
 
 def fit_coupling_curve(samples: Sequence[Tuple[float, float]]) -> CouplingCurve:
@@ -88,40 +66,6 @@ def fit_coupling_curve(samples: Sequence[Tuple[float, float]]) -> CouplingCurve:
     )
 
 
-def separation_for_coupling(curve: CouplingCurve, c_target: float) -> float:
-    """Invert the fitted curve: s = -d ln(c_target / A).
-
-    Warns when the requested coupling falls outside the separations the
-    curve was fitted on, since the exponential model is only trusted there.
-    """
-    if c_target <= 0:
-        raise ValueError(f"target coupling must be positive, got {c_target}")
-    s = -curve.decay_length_um * math.log(c_target / curve.amplitude_per_cm)
-    lo, hi = curve.separation_range_um
-    if not lo <= s <= hi:
-        warnings.warn(
-            f"separation {s:.3f} um extrapolates beyond the fitted range "
-            f"[{lo:.3f}, {hi:.3f}] um",
-            stacklevel=2,
-        )
-    return s
-
-
-@dataclass(frozen=True)
-class TrapRatio:
-    """Trap-to-sink coupling ratio x = C_trap/C_sink, valid on (0, 1)."""
-
-    x: float
-
-    def __post_init__(self):
-        if not 0 < self.x < 1:
-            raise ValueError(f"trap ratio must lie in (0, 1), got {self.x}")
-
-    @classmethod
-    def from_couplings(cls, c_trap: float, c_sink: float) -> "TrapRatio":
-        return cls(c_trap / c_sink)
-
-
 def effective_trap_rate(x, c_sink: float) -> float:
     """Constant effective transfer rate kappa = c_sink * 2 x^2 (1 - x^2)^(-1/2).
 
@@ -132,7 +76,7 @@ def effective_trap_rate(x, c_sink: float) -> float:
     in cm^-1.  The rate diverges as x -> 1 and the single-exponential
     picture degrades well before that.
     """
-    ratio = x.x if isinstance(x, TrapRatio) else float(x)
+    ratio = float(x)
     if not 0 < ratio < 1:
         raise ValueError(f"trap ratio must lie in (0, 1), got {ratio}")
     if c_sink <= 0:

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, sweep-wavelength, sweep-bandwidth, map, calibrate,
 check.  Each experiment run writes CSV tables plus a JSON manifest that
-echoes the fully resolved configuration, hashes every output, and is
-sufficient to reproduce the run byte for byte.  Exit codes: 0 success,
+echoes the config file as given (keys it omits took the package's
+defaults) and hashes every output.  Exit codes: 0 success,
 2 configuration problems, 3 numerical failure or failed checks.
 """
 
@@ -88,11 +88,6 @@ def _load(args) -> tuple:
     return config, raw
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -102,7 +97,7 @@ def _cmd_simulate(args) -> int:
     net = config.network
     exp = config.experiment
     lam0 = net.dispersion.lambda0_nm
-    zs = _grid(0.0, exp.z_cm, exp.z_step_cm)
+    zs = analysis.wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm)
 
     h = lattice.build_hamiltonian(net, lam0)
     psi0 = propagate.AmplitudeState.site(h.dimension, net.input_site)
@@ -144,7 +139,7 @@ def _cmd_sweep_bandwidth(args) -> int:
     net = config.network
     exp = config.experiment
     num = config.numerics
-    bws = _grid(0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm)
+    bws = analysis.wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm)
     result = analysis.sweep_bandwidth(net, bws, exp.z_cm, nodes=num.ensemble_nodes,
                                       sensitivity=num.sensitivity_fraction)
     return _emit(args, config, raw, started, result, "bandwidth_sweep.csv",
@@ -158,12 +153,13 @@ def _cmd_map(args) -> int:
     exp = config.experiment
     if args.extended:
         # long-haul regime: strong dephasing pushes the efficiency toward 1
-        zs = _grid(0.0, 500.0, 5.0)
-        gammas = _grid(0.0, 0.5, 0.025)
+        zs = analysis.wavelength_grid(0.0, 0.0, 500.0, 5.0)
+        gammas = analysis.wavelength_grid(0.0, 0.0, 0.5, 0.025)
         csv_name, command = "enaqt_map_extended.csv", "map --extended"
     else:
-        zs = _grid(0.0, exp.z_cm, exp.z_step_cm)
-        gammas = _grid(0.0, exp.gamma_max_per_cm, exp.gamma_step_per_cm)
+        zs = analysis.wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm)
+        gammas = analysis.wavelength_grid(0.0, 0.0, exp.gamma_max_per_cm,
+                                          exp.gamma_step_per_cm)
         csv_name, command = "enaqt_map.csv", "map"
     result = analysis.enaqt_map(net, zs, gammas)
     return _emit(args, config, raw, started, result, csv_name, command)

@@ -6,7 +6,9 @@ carries its unit in the key name, because a silent cm/nm mix-up is the
 most likely way to get a wrong-but-plausible answer out of this package.
 Site indices are 1-based in config files (matching how the guides are
 labelled on the device sketch) and converted to the 0-based indices the
-Python API uses.
+Python API uses.  The dispersion, sink, experiment, output and numerics
+blocks are read field by field from the dataclass each one builds, so
+their defaults are written only there.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Dict, List, Tuple
 
 from .analysis import wavelength_grid
 from .decoherence import SPECTRUM_SHAPES, Spectrum
-from .lattice import DETUNING_LAWS, DispersionModel, NetworkSpec, SinkSpec
+from .lattice import DispersionModel, NetworkSpec, SinkSpec
 
 
 class ConfigError(ValueError):
@@ -90,7 +91,7 @@ def bundled_network_path() -> Path:
 # ---------------------------------------------------------------------------
 # validation helpers
 
-_REQUIRED = object()
+_REQUIRED = dataclasses.MISSING  # also marks a dataclass field without a default
 
 
 def _require_dict(value, path: str) -> Dict:
@@ -124,10 +125,6 @@ def _get(block: Dict, key: str, path: str, kind, default=_REQUIRED):
     if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path}.{key}", f"expected a string, got {value!r}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}", f"expected a boolean, got {value!r}")
         return value
     if kind is list:
         if not isinstance(value, list):
@@ -175,40 +172,11 @@ def _parse_network(block: Dict, path: str = "network") -> NetworkSpec:
         _positive(c, f"{ipath}.coupling_per_cm")
         couplings.append((a, b, c))
 
-    dpath = f"{path}.dispersion"
-    dblock = _require_dict(block.get("dispersion", {}), dpath)
-    _check_keys(dblock, {"lambda0_nm", "beta0_per_cm", "detuning_law",
-                         "detuning0_per_cm", "coupling_slope_per_nm",
-                         "slopes_are_placeholders"}, dpath)
-    law = _get(dblock, "detuning_law", dpath, str, default="inverse-lambda")
-    if law not in DETUNING_LAWS:
-        raise ConfigError(f"{dpath}.detuning_law",
-                          f"must be one of {list(DETUNING_LAWS)}, got {law!r}")
-    dispersion = DispersionModel(
-        lambda0_nm=_positive(_get(dblock, "lambda0_nm", dpath, float, default=792.5),
-                             f"{dpath}.lambda0_nm"),
-        beta0_per_cm=_get(dblock, "beta0_per_cm", dpath, float, default=0.0),
-        detuning0_per_cm=_get(dblock, "detuning0_per_cm", dpath, float, default=1.0),
-        detuning_law=law,
-        coupling_slope_per_nm=_get(dblock, "coupling_slope_per_nm", dpath, float,
-                                   default=0.01),
-    )
-
+    dispersion = _parse_simple(block.get("dispersion", {}), DispersionModel,
+                               f"{path}.dispersion")
     sink = None
     if block.get("sink") is not None:
-        spath = f"{path}.sink"
-        sblock = _require_dict(block["sink"], spath)
-        _check_keys(sblock, {"n_sink", "c_trap_per_cm", "c_sink_per_cm"}, spath)
-        n_sink = _get(sblock, "n_sink", spath, int, default=90)
-        if n_sink < 1:
-            raise ConfigError(f"{spath}.n_sink", f"must be >= 1, got {n_sink}")
-        sink = SinkSpec(
-            n_sink=n_sink,
-            c_trap_per_cm=_positive(_get(sblock, "c_trap_per_cm", spath, float,
-                                         default=1.5), f"{spath}.c_trap_per_cm"),
-            c_sink_per_cm=_positive(_get(sblock, "c_sink_per_cm", spath, float,
-                                         default=1.75), f"{spath}.c_sink_per_cm"),
-        )
+        sink = _parse_simple(block["sink"], SinkSpec, f"{path}.sink")
 
     try:
         return NetworkSpec(
@@ -254,16 +222,15 @@ def _parse_spectrum(block: Dict, path: str = "spectrum") -> Spectrum:
 
 
 def _parse_simple(block: Dict, cls, path: str):
+    """Build dataclass ``cls`` from ``block``: its fields name the keys and
+    give their types and defaults, and its ``__post_init__`` checks ranges."""
     block = _require_dict(block, path)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     _check_keys(block, fields, path)
     kwargs = {}
     for name, f in fields.items():
-        kind = int if f.type == "int" else float
-        kwargs[name] = (_get(block, name, path, str if f.type == "str" else kind,
-                             default=f.default)
-                        if f.default is not dataclasses.MISSING
-                        else _get(block, name, path, kind))
+        kind = {"int": int, "str": str}.get(f.type, float)
+        kwargs[name] = _get(block, name, path, kind, default=f.default)
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -277,22 +244,14 @@ def config_from_dict(raw: Dict) -> RunConfig:
                 "config")
     if "network" not in raw:
         raise ConfigError("config.network", "missing required key")
-    defaults = default_config_dict()
-    spectrum_block = raw.get("spectrum", defaults["spectrum"])
-    numerics_block = raw.get("numerics", {})
-    if isinstance(numerics_block, dict) and "lindblad_step_tolerance" in numerics_block:
-        # retired knob, still accepted so that configs echoed in old manifests parse
-        warnings.warn("numerics.lindblad_step_tolerance has no effect and is ignored",
-                      FutureWarning, stacklevel=2)
-        numerics_block = {k: v for k, v in numerics_block.items()
-                          if k != "lindblad_step_tolerance"}
     config = RunConfig(
         network=_parse_network(raw["network"]),
-        spectrum=_parse_spectrum(spectrum_block),
+        spectrum=_parse_spectrum(raw["spectrum"] if "spectrum" in raw
+                                 else default_config_dict()["spectrum"]),
         experiment=_parse_simple(raw.get("experiment", {}), ExperimentConfig,
                                  "experiment"),
         output=_parse_simple(raw.get("output", {}), OutputConfig, "output"),
-        numerics=_parse_simple(numerics_block, NumericsConfig, "numerics"),
+        numerics=_parse_simple(raw.get("numerics", {}), NumericsConfig, "numerics"),
     )
     _check_grids(config)
     _check_bands(config)

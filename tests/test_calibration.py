@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enaqt import (AmplitudeState, HamiltonianMatrix, TrapRatio,
-                   detuning_from_max_transfer, effective_kappa, effective_trap_rate,
-                   enaqt4_network, evolve_unitary, fit_coupling_curve, pair_transfer,
-                   separation_for_coupling)
+from enaqt import (AmplitudeState, HamiltonianMatrix, effective_kappa,
+                   effective_trap_rate, enaqt4_network, evolve_unitary,
+                   fit_coupling_curve, pair_transfer)
 
 
 def test_pair_transfer_full_beat():
@@ -38,28 +37,6 @@ def test_pair_transfer_matches_propagator(c, delta, z):
                                                      abs=1e-10)
 
 
-def test_detuning_inversion_values():
-    assert detuning_from_max_transfer(1.0) == 0.0
-    assert detuning_from_max_transfer(0.5) == pytest.approx(2.0, abs=1e-14)
-    assert detuning_from_max_transfer(0.8) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_detuning_inversion_domain():
-    for bad in (0.0, -0.2, 1.0001):
-        with pytest.raises(ValueError):
-            detuning_from_max_transfer(bad)
-
-
-@given(ratio=st.floats(0.0, 4.0))
-@settings(max_examples=60, deadline=None)
-def test_detuning_round_trip_through_peak(ratio):
-    # peak of the beat happens at z = pi/(2 Omega); inverting it recovers the ratio
-    c = 1.0
-    omega = math.hypot(c, 0.5 * ratio)
-    p_max = pair_transfer(c, ratio, math.pi / (2 * omega))
-    assert detuning_from_max_transfer(p_max) == pytest.approx(ratio, abs=1e-6)
-
-
 def test_fit_recovers_exact_exponential():
     curve = fit_coupling_curve([(s, 10.0 * math.exp(-s / 8.0)) for s in (10, 15, 20)])
     assert curve.amplitude_per_cm == pytest.approx(10.0, abs=1e-9)
@@ -84,23 +61,6 @@ def test_fit_with_one_percent_noise_recovers_decay_length():
     assert curve.decay_length_um == pytest.approx(8.0, rel=0.05)
 
 
-def test_separation_inversion_anchor_points():
-    curve = fit_coupling_curve([(s, 10.0 * math.exp(-s / 8.0)) for s in (4, 10, 20)])
-    with pytest.warns(UserWarning):
-        assert separation_for_coupling(curve, 10.0) == pytest.approx(0.0, abs=1e-9)
-    assert separation_for_coupling(curve, 10.0 / math.e) == pytest.approx(8.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        separation_for_coupling(curve, 0.0)
-
-
-@given(s=st.floats(4.0, 20.0))
-@settings(max_examples=50, deadline=None)
-def test_separation_round_trip(s):
-    curve = fit_coupling_curve([(x, 10.0 * math.exp(-x / 8.0)) for x in (4, 10, 20)])
-    assert separation_for_coupling(curve, curve.coupling_at(s)) == pytest.approx(
-        s, abs=1e-9)
-
-
 def test_effective_trap_rate_values():
     assert effective_trap_rate(1e-6, 1.0) < 1e-11
     assert effective_trap_rate(1 / math.sqrt(2), 1.0) == pytest.approx(
@@ -108,13 +68,6 @@ def test_effective_trap_rate_values():
     # design ratio 1.5/1.75 = 6/7 at c_sink = 1.75, the design network's sink
     assert effective_trap_rate(6 / 7, 1.75) == pytest.approx(4.992, abs=1e-3)
     assert effective_kappa(enaqt4_network()) == pytest.approx(4.992, abs=1e-3)
-
-
-def test_effective_trap_rate_accepts_ratio_type():
-    ratio = TrapRatio.from_couplings(1.5, 1.75)
-    assert effective_trap_rate(ratio, 1.75) == effective_trap_rate(6 / 7, 1.75)
-    with pytest.raises(ValueError):
-        TrapRatio(1.0)
 
 
 def test_effective_trap_rate_domain():

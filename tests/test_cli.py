@@ -297,6 +297,26 @@ def test_sweep_bandwidth_subcommand(tmp_path):
     assert fit["tail"] < 1e-14
 
 
+@pytest.mark.parametrize("command, csv_name, column, overrides, want", [
+    ("simulate", "dynamics.csv", "z_cm", {"z_cm": 0.16, "z_step_cm": 0.1}, [0.0, 0.1]),
+    ("map", "enaqt_map.csv", "z_cm", {"z_cm": 0.16, "z_step_cm": 0.1}, [0.0, 0.1]),
+    ("map", "enaqt_map.csv", "gamma_per_cm",
+     {"gamma_max_per_cm": 0.016, "gamma_step_per_cm": 0.01}, [0.0, 0.01]),
+    ("sweep-bandwidth", "bandwidth_sweep.csv", "bandwidth_nm",
+     {"bandwidth_max_nm": 98.0, "bandwidth_step_nm": 5.0}, [5.0 * k for k in range(20)]),
+], ids=["simulate-z", "map-z", "map-gamma", "sweep-bandwidth"])
+def test_grids_stop_at_the_configured_end(tmp_path, command, csv_name, column,
+                                          overrides, want):
+    # a range that is no whole number of steps stops at its last whole step;
+    # rounding the step count would run past it (z = 0.2 cm, 100 nm)
+    cfg = small_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--output-dir", str(out)]) == 0
+    lines = (out / csv_name).read_text().splitlines()
+    k = lines[0].split(",").index(column)
+    assert sorted({float(line.split(",")[k]) for line in lines[1:]}) == want
+
+
 @pytest.mark.parametrize("command, csv_name", [
     (["map"], "enaqt_map"),
     (["map", "--extended"], "enaqt_map_extended"),

@@ -1,12 +1,23 @@
+import dataclasses
 import hashlib
 import json
+import re
 import warnings
 
 import pytest
 
-from enaqt import ConfigError, bundled_network_path, enaqt4_network, parse_config
+from enaqt import (ConfigError, DispersionModel, SinkSpec, bundled_network_path,
+                   enaqt4_network, parse_config)
 from enaqt.cli import main
-from enaqt.config import config_from_dict, default_config_dict
+from enaqt.config import (ExperimentConfig, NumericsConfig, OutputConfig,
+                          config_from_dict, default_config_dict)
+
+
+def _block(raw, path):
+    """The block of ``raw`` at a dotted key path such as "network.sink"."""
+    for name in path.split("."):
+        raw = raw[name]
+    return raw
 
 
 def test_bundled_config_is_the_design_network():
@@ -126,14 +137,18 @@ def test_wrong_types_are_rejected():
         config_from_dict(raw)
 
 
-def test_retired_step_tolerance_warns_and_parses_unchanged():
-    # configs echoed in older manifests still carry the key
+@pytest.mark.parametrize("path, key", [
+    ("numerics", "lindblad_step_tolerance"),
+    ("network.dispersion", "slopes_are_placeholders"),
+])
+def test_knobs_that_did_nothing_exit_2_naming_the_key(tmp_path, capsys, path, key):
     raw = default_config_dict()
-    raw["numerics"]["lindblad_step_tolerance"] = 1e-9
-    with pytest.warns(FutureWarning, match="lindblad_step_tolerance") as caught:
-        config = config_from_dict(raw)
-    assert len(caught) == 1
-    assert config == config_from_dict(default_config_dict())
+    _block(raw, path)[key] = True
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(raw))
+    assert main(["simulate", str(p), "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"{path}.{key}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_current_config_parses_without_warning():
@@ -141,3 +156,44 @@ def test_current_config_parses_without_warning():
         warnings.simplefilter("error")
         parse_config(bundled_network_path())
         config_from_dict(default_config_dict())
+
+
+_DEFAULTED_BLOCKS = {
+    "network.dispersion": DispersionModel,
+    "network.sink": SinkSpec,
+    "experiment": ExperimentConfig,
+    "numerics": NumericsConfig,
+    "output": OutputConfig,
+}
+
+
+@pytest.mark.parametrize("stripped", [[path] for path in _DEFAULTED_BLOCKS]
+                         + [list(_DEFAULTED_BLOCKS)],
+                         ids=list(_DEFAULTED_BLOCKS) + ["all"])
+def test_bundled_values_are_the_dataclass_defaults(stripped):
+    # a block emptied of every key its dataclass has a default for parses to
+    # the bundled config, so the file and the dataclasses cannot drift apart
+    raw = default_config_dict()
+    for path in stripped:
+        block = _block(raw, path)
+        defaulted = {f.name for f in dataclasses.fields(_DEFAULTED_BLOCKS[path])
+                     if f.default is not dataclasses.MISSING}
+        for key in defaulted & set(block):
+            del block[key]
+        assert block == {}
+    assert config_from_dict(raw) == parse_config(bundled_network_path())
+
+
+@pytest.mark.parametrize("path, key, value", [
+    ("network.sink", "c_trap_per_cm", -1.0),
+    ("network.sink", "c_sink_per_cm", 0.0),
+    ("network.sink", "n_sink", 0),
+    ("network.dispersion", "lambda0_nm", 0.0),
+    ("network.dispersion", "detuning_law", "cubic"),
+])
+def test_dataclass_checks_name_block_and_key(path, key, value):
+    raw = default_config_dict()
+    _block(raw, path)[key] = value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: {key} ") as caught:
+        config_from_dict(raw)
+    assert caught.value.path == path
