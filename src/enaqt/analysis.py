@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ ENHANCEMENT_FLOOR = 1e-15
 def effective_kappa(net: NetworkSpec) -> float:
     """Trapping rate equivalent to the network's explicit sink chain."""
     if net.sink is None:
-        raise ValueError("no sink on the network and no explicit kappa given")
+        raise ValueError("no sink on the network")
     return effective_trap_rate(net.sink.c_trap_per_cm / net.sink.c_sink_per_cm,
                                net.sink.c_sink_per_cm)
 
@@ -190,8 +190,7 @@ def dephasing_site(net: NetworkSpec) -> int:
 
 
 def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: float,
-                    nodes: int = 41, kappa: Optional[float] = None,
-                    sensitivity: float = 0.1) -> SweepResult:
+                    nodes: int = 41, sensitivity: float = 0.1) -> SweepResult:
     """Transport enhancement versus illumination bandwidth, both routes.
 
     For each tophat bandwidth the enhancement over the coherent run at the
@@ -219,7 +218,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     bws = np.asarray(bandwidths_nm, dtype=float)
     if np.any(bws < 0):
         raise ValueError("bandwidths must be non-negative")
-    kap = effective_kappa(net) if kappa is None else kappa
+    kap = effective_kappa(net)
     lam0 = net.dispersion.lambda0_nm
     delta_beta = net.dispersion.detuning0_per_cm
 
@@ -305,8 +304,8 @@ def _lindblad_efficiencies(net: NetworkSpec, hams: Sequence[HamiltonianMatrix], 
     return 1.0 - np.real(np.einsum("rzii->rzi", rhos)).sum(axis=2), margins
 
 
-def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[float],
-              kappa: Optional[float] = None) -> SweepResult:
+def enaqt_map(net: NetworkSpec, z_grid: Sequence[float],
+              gamma_grid: Sequence[float]) -> SweepResult:
     """Efficiency and enhancement over (z, gamma) with the dephasing model.
 
     One master-equation run per gamma covers the whole z column, and every
@@ -320,7 +319,7 @@ def enaqt_map(net: NetworkSpec, z_grid: Sequence[float], gamma_grid: Sequence[fl
     gammas = np.asarray(gamma_grid, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gamma grid must be non-negative")
-    kap = effective_kappa(net) if kappa is None else kappa
+    kap = effective_kappa(net)
     h_sys = build_hamiltonian(net, net.dispersion.lambda0_nm, include_sink=False)
     rates = gammas if 0.0 in gammas else np.append(gammas, 0.0)
     etas, margins = _lindblad_efficiencies(net, [h_sys], [rates], kap, zs)

@@ -88,6 +88,14 @@ def _load(args) -> tuple:
     return config, raw
 
 
+def _require_sink(config: RunConfig, command: str) -> None:
+    """Stop a command that takes its trapping rate from the sink chain."""
+    if config.network.sink is None:
+        raise ConfigError("network.sink",
+                          f"{command} takes its trapping rate from the sink chain; "
+                          "the network has none")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -135,6 +143,7 @@ def _cmd_sweep_wavelength(args) -> int:
 
 def _cmd_sweep_bandwidth(args) -> int:
     config, raw = _load(args)
+    _require_sink(config, "sweep-bandwidth")
     started = _utc_now()
     net = config.network
     exp = config.experiment
@@ -148,6 +157,7 @@ def _cmd_sweep_bandwidth(args) -> int:
 
 def _cmd_map(args) -> int:
     config, raw = _load(args)
+    _require_sink(config, "map")
     started = _utc_now()
     net = config.network
     exp = config.experiment
@@ -223,8 +233,7 @@ def _cmd_check(args) -> int:
 
     # quadrature convergence of the spectral ensemble: its efficiency is
     # sum_k w_k eta_coh(lambda_k), so both node sets run in one coherent call
-    if net.sink is not None and config.spectrum.shape in ("tophat", "gaussian") \
-            and not config.spectrum.is_monochromatic:
+    if net.sink is not None and not config.spectrum.is_monochromatic:
         psi0 = propagate.AmplitudeState.site(net.dimension, net.input_site)
         n = num.ensemble_nodes
         lams_n, w_n = decoherence.spectral_nodes(config.spectrum, n)

@@ -6,9 +6,9 @@ carries its unit in the key name, because a silent cm/nm mix-up is the
 most likely way to get a wrong-but-plausible answer out of this package.
 Site indices are 1-based in config files (matching how the guides are
 labelled on the device sketch) and converted to the 0-based indices the
-Python API uses.  The dispersion, sink, experiment, output and numerics
-blocks are read field by field from the dataclass each one builds, so
-their defaults are written only there.
+Python API uses.  The spectrum, dispersion, sink, experiment, output and
+numerics blocks are read field by field from the dataclass each one
+builds, so their defaults and range checks are written only there.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .analysis import wavelength_grid
-from .decoherence import SPECTRUM_SHAPES, Spectrum
+from .decoherence import Spectrum
 from .lattice import DispersionModel, NetworkSpec, SinkSpec
 
 
@@ -48,6 +48,15 @@ class ExperimentConfig:
     gamma_max_per_cm: float = 0.02
     gamma_step_per_cm: float = 0.001
 
+    def __post_init__(self):
+        for key in ("z_step_cm", "wavelength_step_nm", "bandwidth_step_nm",
+                    "gamma_step_per_cm"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("z_cm", "bandwidth_max_nm", "gamma_max_per_cm"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
@@ -60,6 +69,10 @@ class NumericsConfig:
     dark_overlap_threshold: float = 1e-12
     no_return_threshold: float = 1e-3
     sensitivity_fraction: float = 0.1
+
+    def __post_init__(self):
+        if self.ensemble_nodes < 1:
+            raise ValueError(f"ensemble_nodes must be >= 1, got {self.ensemble_nodes}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +146,6 @@ def _get(block: Dict, key: str, path: str, kind, default=_REQUIRED):
     raise TypeError(f"unsupported kind {kind}")
 
 
-def _positive(value: float, path: str) -> float:
-    if not value > 0:
-        raise ConfigError(path, f"must be positive, got {value}")
-    return value
-
-
 def _site_index(value: int, n_sites: int, path: str) -> int:
     if not 1 <= value <= n_sites:
         raise ConfigError(path, f"site index must be in 1..{n_sites}, got {value}")
@@ -169,7 +176,8 @@ def _parse_network(block: Dict, path: str = "network") -> NetworkSpec:
         a = _site_index(_get(item, "site_a", ipath, int), n_sites, f"{ipath}.site_a")
         b = _site_index(_get(item, "site_b", ipath, int), n_sites, f"{ipath}.site_b")
         c = _get(item, "coupling_per_cm", ipath, float)
-        _positive(c, f"{ipath}.coupling_per_cm")
+        if not c > 0:
+            raise ConfigError(f"{ipath}.coupling_per_cm", f"must be positive, got {c}")
         couplings.append((a, b, c))
 
     dispersion = _parse_simple(block.get("dispersion", {}), DispersionModel,
@@ -189,33 +197,6 @@ def _parse_network(block: Dict, path: str = "network") -> NetworkSpec:
                                    n_sites, f"{path}.input_site"),
             target_site=_site_index(_get(block, "target_site", path, int, default=1),
                                     n_sites, f"{path}.target_site"),
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_spectrum(block: Dict, path: str = "spectrum") -> Spectrum:
-    block = _require_dict(block, path)
-    _check_keys(block, {"shape", "center_nm", "fwhm_nm", "lines"}, path)
-    shape = _get(block, "shape", path, str)
-    if shape not in SPECTRUM_SHAPES:
-        raise ConfigError(f"{path}.shape",
-                          f"must be one of {list(SPECTRUM_SHAPES)}, got {shape!r}")
-    lines = []
-    for k, item in enumerate(_get(block, "lines", path, list, default=[])):
-        ipath = f"{path}.lines[{k}]"
-        item = _require_dict(item, ipath)
-        _check_keys(item, {"wavelength_nm", "weight"}, ipath)
-        lines.append((_positive(_get(item, "wavelength_nm", ipath, float),
-                                f"{ipath}.wavelength_nm"),
-                      _get(item, "weight", ipath, float)))
-    try:
-        if shape == "discrete":
-            return Spectrum.discrete(lines)
-        return Spectrum(
-            shape=shape,
-            center_nm=_get(block, "center_nm", path, float),
-            fwhm_nm=_get(block, "fwhm_nm", path, float, default=0.0),
         )
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
@@ -246,8 +227,9 @@ def config_from_dict(raw: Dict) -> RunConfig:
         raise ConfigError("config.network", "missing required key")
     config = RunConfig(
         network=_parse_network(raw["network"]),
-        spectrum=_parse_spectrum(raw["spectrum"] if "spectrum" in raw
-                                 else default_config_dict()["spectrum"]),
+        spectrum=_parse_simple(
+            raw["spectrum"] if "spectrum" in raw else default_config_dict()["spectrum"],
+            Spectrum, "spectrum"),
         experiment=_parse_simple(raw.get("experiment", {}), ExperimentConfig,
                                  "experiment"),
         output=_parse_simple(raw.get("output", {}), OutputConfig, "output"),
@@ -259,16 +241,9 @@ def config_from_dict(raw: Dict) -> RunConfig:
 
 
 def _check_grids(config: RunConfig) -> None:
-    """Reject grids the run commands cannot build: a step that is not
-    positive, a range that holds no grid point, or no quadrature node."""
+    """Reject a wavelength window that holds no point of the grid through
+    the network's lambda0."""
     exp = config.experiment
-    for key in ("z_step_cm", "wavelength_step_nm", "bandwidth_step_nm",
-                "gamma_step_per_cm"):
-        _positive(getattr(exp, key), f"experiment.{key}")
-    for key in ("z_cm", "bandwidth_max_nm", "gamma_max_per_cm"):
-        value = getattr(exp, key)
-        if not value >= 0:
-            raise ConfigError(f"experiment.{key}", f"must be non-negative, got {value}")
     lam0 = config.network.dispersion.lambda0_nm
     try:
         wavelength_grid(lam0, exp.wavelength_min_nm, exp.wavelength_max_nm,
@@ -279,21 +254,17 @@ def _check_grids(config: RunConfig) -> None:
             f"no point of the {exp.wavelength_step_nm} nm grid through {lam0} nm lies "
             f"in [wavelength_min_nm, wavelength_max_nm] = "
             f"[{exp.wavelength_min_nm}, {exp.wavelength_max_nm}]") from None
-    if config.numerics.ensemble_nodes < 1:
-        raise ConfigError("numerics.ensemble_nodes",
-                          f"must be >= 1, got {config.numerics.ensemble_nodes}")
 
 
 def _check_bands(config: RunConfig) -> None:
     """Reject a band the runs cannot sample: each edge of the sweep's widest
-    tophat and of a tophat or gaussian spectrum must be a finite positive
-    wavelength at which the coupling scale is finite.  The long edge runs
-    off to infinity as a tophat's full width nears 2 lambda0."""
+    tophat and of the spectrum must be a finite positive wavelength at
+    which the coupling scale is finite.  The long edge runs off to infinity
+    as a tophat's full width nears 2 lambda0."""
     disp = config.network.dispersion
     bands = [("experiment.bandwidth_max_nm",
-              Spectrum.tophat(disp.lambda0_nm, config.experiment.bandwidth_max_nm))]
-    if config.spectrum.shape in ("tophat", "gaussian"):
-        bands.append(("spectrum.fwhm_nm", config.spectrum))
+              Spectrum.tophat(disp.lambda0_nm, config.experiment.bandwidth_max_nm)),
+             ("spectrum.fwhm_nm", config.spectrum)]
     for key, spectrum in bands:
         for edge in spectrum.band_edges_nm:
             try:

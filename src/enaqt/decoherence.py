@@ -15,13 +15,14 @@ constant difference db (cm^-1) maps propagation distance z (cm) onto the
 delay tau = z * db * lambda0 / (2 pi c), which is what links the spatial
 beat to the temporal coherence of the light.
 
-Continuous spectra are defined as densities in angular frequency.  A
-"tophat" of full width dl (nm) about lambda0 is uniform on an angular
-band of width dw = 2 pi c dl / lambda0^2; a "gaussian" has the matching
-FWHM in angular frequency.  Defining the band in frequency rather than
-wavelength keeps the sinc/Gaussian envelopes and the closed form
-gamma = db*dl/(2 pi lambda0) exact at any fractional bandwidth (the two
-conventions differ only at second order in dl/lambda0).
+Spectra are densities in angular frequency, of two shapes.  A "tophat"
+of full width dl (nm) about lambda0 is uniform on an angular band of
+width dw = 2 pi c dl / lambda0^2; a "gaussian" has the matching FWHM in
+angular frequency.  Either shape at zero width is monochromatic light.
+Defining the band in frequency rather than wavelength keeps the
+sinc/Gaussian envelopes and the closed form gamma = db*dl/(2 pi lambda0)
+exact at any fractional bandwidth (the two conventions differ only at
+second order in dl/lambda0).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -39,7 +40,7 @@ from .lattice import NetworkSpec
 from .propagate import NumericalError, _initial_amplitudes, _wavelength_amplitudes
 from .units import C_LIGHT_CM_PER_S, nm_to_cm
 
-SPECTRUM_SHAPES = ("tophat", "gaussian", "delta", "discrete")
+SPECTRUM_SHAPES = ("tophat", "gaussian")
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -65,14 +66,12 @@ class Spectrum:
     """Illumination spectral density.
 
     ``fwhm_nm`` is the full width for the tophat and the FWHM for the
-    gaussian; ``lines`` holds explicit (wavelength_nm, weight) pairs for
-    the discrete shape and is normalized on construction.
+    gaussian; a width of 0 is monochromatic light at ``center_nm``.
     """
 
     shape: str
     center_nm: float
     fwhm_nm: float = 0.0
-    lines: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if self.shape not in SPECTRUM_SHAPES:
@@ -81,22 +80,6 @@ class Spectrum:
             raise ValueError(f"center_nm must be positive, got {self.center_nm}")
         if self.fwhm_nm < 0:
             raise ValueError(f"fwhm_nm must be non-negative, got {self.fwhm_nm}")
-        if self.shape == "delta" and self.fwhm_nm != 0:
-            raise ValueError("delta spectrum requires fwhm_nm = 0")
-        if self.shape == "discrete":
-            if not self.lines:
-                raise ValueError("discrete spectrum needs at least one line")
-            lam = [float(l) for l, _ in self.lines]
-            wts = [float(w) for _, w in self.lines]
-            if any(l <= 0 for l in lam):
-                raise ValueError("line wavelengths must be positive")
-            if any(w < 0 for w in wts) or sum(wts) <= 0:
-                raise ValueError("line weights must be non-negative with positive sum")
-            total = sum(wts)
-            object.__setattr__(
-                self, "lines", tuple((l, w / total) for l, w in zip(lam, wts)))
-        elif self.lines:
-            raise ValueError("lines are only meaningful for discrete spectra")
 
     @classmethod
     def tophat(cls, center_nm: float, fwhm_nm: float) -> "Spectrum":
@@ -105,18 +88,6 @@ class Spectrum:
     @classmethod
     def gaussian(cls, center_nm: float, fwhm_nm: float) -> "Spectrum":
         return cls("gaussian", center_nm, fwhm_nm)
-
-    @classmethod
-    def delta(cls, center_nm: float) -> "Spectrum":
-        return cls("delta", center_nm)
-
-    @classmethod
-    def discrete(cls, lines: Sequence[Tuple[float, float]]) -> "Spectrum":
-        lines = tuple((float(l), float(w)) for l, w in lines)
-        if not lines or sum(w for _, w in lines) <= 0:
-            raise ValueError("discrete spectrum needs at least one weighted line")
-        center = sum(l * w for l, w in lines) / sum(w for _, w in lines)
-        return cls("discrete", center, 0.0, lines)
 
     @property
     def center_angular_frequency(self) -> float:
@@ -133,8 +104,6 @@ class Spectrum:
     def half_band(self) -> float:
         """Half-width (rad/s) of the angular band about the center that the
         quadrature samples: the whole tophat, the gaussian to +-5 sigma."""
-        if self.shape == "discrete":
-            raise ValueError("a discrete spectrum has lines, not a band")
         if self.shape == "gaussian":
             return 5.0 * (self.angular_width * _FWHM_TO_SIGMA)
         return 0.5 * self.angular_width
@@ -149,11 +118,7 @@ class Spectrum:
 
     @property
     def is_monochromatic(self) -> bool:
-        if self.shape == "delta":
-            return True
-        if self.shape in ("tophat", "gaussian"):
-            return self.fwhm_nm == 0.0
-        return len(self.lines) == 1
+        return self.fwhm_nm == 0.0
 
 
 def _sinc(x: float) -> float:
@@ -171,10 +136,6 @@ def g1(spectrum: Spectrum, tau: float) -> complex:
     |g1(0)| = 1 for every spectrum, and |g1| = 1 at all delays for
     monochromatic light.
     """
-    if spectrum.shape == "discrete":
-        return complex(sum(
-            w * np.exp(-1j * _angular_frequency(l) * tau)
-            for l, w in spectrum.lines))
     carrier = np.exp(-1j * spectrum.center_angular_frequency * tau)
     if spectrum.is_monochromatic:
         return complex(carrier)
@@ -227,10 +188,10 @@ def coherence_time(spectrum: Spectrum) -> float:
     Computed by quadrature of the squared envelope.  The tophat envelope
     decays only as 1/tau; in units u = dw*tau/2 its integral does not
     depend on the width, so it is evaluated once (``_sinc2_half_line``)
-    and rescaled.  Monochromatic and discrete spectra never lose coherence
-    permanently: the integral diverges and inf is returned.
+    and rescaled.  Monochromatic light never loses coherence: the integral
+    diverges and inf is returned.
     """
-    if spectrum.is_monochromatic or spectrum.shape in ("delta", "discrete"):
+    if spectrum.is_monochromatic:
         return math.inf
     if spectrum.shape == "gaussian":
         sigma = spectrum.angular_width * _FWHM_TO_SIGMA
@@ -286,17 +247,13 @@ def coherence_decay_pair(delta_beta: float, lambda0_nm: float, spectrum: Spectru
 def spectral_nodes(spectrum: Spectrum, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes (wavelengths, nm) and normalized weights.
 
-    Gauss-Legendre in angular frequency for continuous shapes, so an odd
-    node count always contains the center wavelength exactly; the listed
-    lines for discrete spectra (``nodes`` is ignored there).  Gaussian
-    support is truncated at +-5 sigma and the weights renormalized.
+    Gauss-Legendre in angular frequency, so an odd node count always
+    contains the center wavelength exactly; monochromatic light is its one
+    center node whatever ``nodes`` is.  Gaussian support is truncated at
+    +-5 sigma and the weights renormalized.
     """
     if nodes < 1:
         raise ValueError(f"need at least one node, got {nodes}")
-    if spectrum.shape == "discrete":
-        lams = np.array([l for l, _ in spectrum.lines])
-        wts = np.array([w for _, w in spectrum.lines])
-        return lams, wts
     if spectrum.is_monochromatic:
         return np.array([spectrum.center_nm]), np.array([1.0])
 

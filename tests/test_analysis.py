@@ -258,7 +258,7 @@ def test_band_fit_degenerate_cases(design_net):
     res = sweep_bandwidth(design_net, [0.0], 15.0, nodes=41, sensitivity=0.0)
     assert res.metadata["ensemble_fit"] == {"points": 1, "tail": 0.0}
     assert res.column("enaqt_ensemble")[0] == 0.0
-    center = ensemble_average(design_net, Spectrum.delta(LAMBDA0), psi0, 15.0)
+    center = ensemble_average(design_net, Spectrum.tophat(LAMBDA0, 0.0), psi0, 15.0)
     assert res.column("efficiency_ensemble")[0] == pytest.approx(
         center.trapped_fraction, abs=1e-15)
     # z = 0: eta is zero to rounding everywhere, so the first size is enough

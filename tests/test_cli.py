@@ -223,7 +223,11 @@ def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     p.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main([command, str(p), "--output-dir", str(out)]) == 2
-    assert next(iter(updates)) in capsys.readouterr().err
+    block, name = next(iter(updates)).split(".")
+    # the grid and band checks name the key path; a block's dataclass names
+    # the block, then the key
+    err = capsys.readouterr().err
+    assert f"{block}.{name}: " in err or f"{block}: {name} " in err
     assert not list(out.glob("*"))
 
 
@@ -250,6 +254,19 @@ def test_non_finite_detuning_exits_2_naming_the_key(tmp_path, capsys, command, v
     assert ("network.site_detunings[0].delta_beta_per_cm: must be finite"
             in capsys.readouterr().err)
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command", ["sweep-bandwidth", "map"])
+def test_trapping_commands_without_a_sink_exit_2(tmp_path, capsys, command):
+    # both take their trapping rate from the sink chain
+    raw = default_config_dict()
+    raw["network"]["sink"] = None
+    p = tmp_path / "no_sink.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(p), "--output-dir", str(out)]) == 2
+    assert "config error: network.sink: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_package_runs_without_scipy():

@@ -6,8 +6,8 @@ import warnings
 
 import pytest
 
-from enaqt import (ConfigError, DispersionModel, SinkSpec, bundled_network_path,
-                   enaqt4_network, parse_config)
+from enaqt import (ConfigError, DispersionModel, SinkSpec, Spectrum,
+                   bundled_network_path, enaqt4_network, parse_config)
 from enaqt.cli import main
 from enaqt.config import (ExperimentConfig, NumericsConfig, OutputConfig,
                           config_from_dict, default_config_dict)
@@ -111,12 +111,9 @@ def test_spectrum_block_validation():
     raw["spectrum"] = {"shape": "delta", "center_nm": 800.0, "fwhm_nm": 3.0}
     with pytest.raises(ConfigError, match="spectrum"):
         config_from_dict(raw)
-    raw["spectrum"] = {"shape": "discrete",
-                       "lines": [{"wavelength_nm": 780.0, "weight": 1.0},
-                                 {"wavelength_nm": 800.0, "weight": 1.0}]}
-    config = config_from_dict(raw)
-    assert config.spectrum.shape == "discrete"
-    assert len(config.spectrum.lines) == 2
+    # fwhm_nm takes the dataclass default: monochromatic light
+    raw["spectrum"] = {"shape": "gaussian", "center_nm": 800.0}
+    assert config_from_dict(raw).spectrum == Spectrum.gaussian(800.0, 0.0)
 
 
 def test_sink_can_be_disabled():
@@ -140,6 +137,7 @@ def test_wrong_types_are_rejected():
 @pytest.mark.parametrize("path, key", [
     ("numerics", "lindblad_step_tolerance"),
     ("network.dispersion", "slopes_are_placeholders"),
+    ("spectrum", "lines"),
 ])
 def test_knobs_that_did_nothing_exit_2_naming_the_key(tmp_path, capsys, path, key):
     raw = default_config_dict()
@@ -190,6 +188,12 @@ def test_bundled_values_are_the_dataclass_defaults(stripped):
     ("network.sink", "n_sink", 0),
     ("network.dispersion", "lambda0_nm", 0.0),
     ("network.dispersion", "detuning_law", "cubic"),
+    ("experiment", "z_step_cm", 0),
+    ("experiment", "gamma_max_per_cm", -1),
+    ("numerics", "ensemble_nodes", 0),
+    ("spectrum", "center_nm", 0),
+    ("spectrum", "shape", "delta"),
+    ("spectrum", "shape", "discrete"),
 ])
 def test_dataclass_checks_name_block_and_key(path, key, value):
     raw = default_config_dict()

@@ -35,25 +35,18 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum("comb", 800.0)
     with pytest.raises(ValueError):
-        Spectrum("delta", 800.0, fwhm_nm=10.0)
+        Spectrum("delta", 800.0)
     with pytest.raises(ValueError):
         Spectrum.tophat(-1.0, 10.0)
     with pytest.raises(ValueError):
-        Spectrum.discrete([])
-
-
-def test_discrete_weights_normalize():
-    spec = Spectrum.discrete([(780.0, 2.0), (800.0, 6.0)])
-    assert sum(w for _, w in spec.lines) == pytest.approx(1.0, abs=1e-15)
-    assert spec.lines[1][1] == pytest.approx(0.75)
+        Spectrum.gaussian(800.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
 # first-order coherence
 
 def test_g1_is_one_at_zero_delay():
-    for spec in (DESIGN_TOPHAT, Spectrum.gaussian(800.0, 40.0), Spectrum.delta(800.0),
-                 Spectrum.discrete([(780.0, 1.0), (800.0, 1.0)])):
+    for spec in (DESIGN_TOPHAT, Spectrum.gaussian(800.0, 40.0), Spectrum.tophat(800.0, 0.0)):
         assert abs(g1(spec, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -64,7 +57,7 @@ def test_g1_tophat_first_zero():
 
 
 def test_g1_delta_never_decoheres():
-    spec = Spectrum.delta(LAMBDA0)
+    spec = Spectrum.tophat(LAMBDA0, 0.0)
     for tau in (1e-12, 3e-11, 7e-10):
         assert abs(g1(spec, tau)) == pytest.approx(1.0, abs=1e-12)
 
@@ -96,10 +89,8 @@ def test_gamma_design_point():
 
 
 def test_gamma_zero_for_monochromatic():
-    assert decoherence_strength(Spectrum.delta(LAMBDA0), 1.0) == 0.0
     assert decoherence_strength(Spectrum.tophat(LAMBDA0, 0.0), 1.0) == 0.0
-    assert decoherence_strength(
-        Spectrum.discrete([(780.0, 1.0), (800.0, 1.0)]), 1.0) == 0.0
+    assert decoherence_strength(Spectrum.gaussian(LAMBDA0, 0.0), 1.0) == 0.0
 
 
 def test_gamma_quadrature_matches_closed_form_randomized():
@@ -154,7 +145,7 @@ def test_pair_coherence_at_zero_distance():
 
 
 def test_pair_coherence_monochromatic_preserves_modulus():
-    spec = Spectrum.delta(LAMBDA0)
+    spec = Spectrum.tophat(LAMBDA0, 0.0)
     for z in (1.0, 5.0, 42.0):
         out = coherence_decay_pair(1.0, LAMBDA0, spec, z, 0.5)
         assert abs(out) == pytest.approx(0.5, abs=1e-12)
@@ -201,18 +192,11 @@ def test_nodes_are_the_same_bits_on_every_call(spectrum):
     assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])
 
 
-def test_nodes_discrete_uses_lines():
-    spec = Spectrum.discrete([(780.0, 1.0), (800.0, 3.0)])
-    lams, wts = spectral_nodes(spec, 99)
-    assert list(lams) == [780.0, 800.0]
-    assert wts.tolist() == [0.25, 0.75]
-
-
 def test_delta_ensemble_equals_single_run(design_net):
     h = build_hamiltonian(design_net, LAMBDA0)
     psi0 = AmplitudeState.site(h.dimension, 0)
     single = evolve_unitary(h, psi0, [15.0])
-    ens = ensemble_average(design_net, Spectrum.delta(LAMBDA0), psi0, 15.0)
+    ens = ensemble_average(design_net, Spectrum.tophat(LAMBDA0, 0.0), psi0, 15.0)
     assert ens.node_count == 1
     assert np.max(np.abs(ens.averaged_populations[:4]
                          - single.populations[-1])) < 1e-12
@@ -248,7 +232,7 @@ def test_ensemble_purity_non_increasing_in_bandwidth(design_net):
     psi0 = AmplitudeState.site(design_net.dimension, 0)
     purities = []
     for dl in (0.0, 15.0, 35.0, 60.0, 95.0):
-        spec = Spectrum.tophat(LAMBDA0, dl) if dl else Spectrum.delta(LAMBDA0)
+        spec = Spectrum.tophat(LAMBDA0, dl)
         rho = ensemble_average(design_net, spec, psi0, 15.0).averaged_density
         purities.append(float(np.trace(rho @ rho).real))
     assert all(b <= a + 1e-12 for a, b in zip(purities, purities[1:]))
