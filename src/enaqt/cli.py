@@ -24,8 +24,8 @@ import numpy as np
 
 from ._version import __version__
 from . import analysis, calibration, decoherence, lattice, propagate
-from .config import (ConfigError, RunConfig, config_sha256, default_config_dict,
-                     parse_config)
+from .config import (ConfigError, RunConfig, config_from_dict, config_sha256,
+                     default_config_dict, read_config_document)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,9 +83,9 @@ def _emit(args, config: RunConfig, raw_config: Dict, started: str,
 
 
 def _load(args) -> tuple:
-    config = parse_config(args.config)
-    raw = json.loads(Path(args.config).read_text() or "{}")
-    return config, raw
+    """The validated config and the document it came from, read once."""
+    raw = read_config_document(args.config)
+    return config_from_dict(raw), raw
 
 
 def _require_sink(config: RunConfig, command: str) -> None:

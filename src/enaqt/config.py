@@ -52,10 +52,12 @@ class ExperimentConfig:
         for key in ("z_step_cm", "wavelength_step_nm", "bandwidth_step_nm",
                     "gamma_step_per_cm"):
             if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+                raise ConfigError(f"experiment.{key}",
+                                  f"must be positive, got {getattr(self, key)}")
         for key in ("z_cm", "bandwidth_max_nm", "gamma_max_per_cm"):
             if not getattr(self, key) >= 0:
-                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+                raise ConfigError(f"experiment.{key}",
+                                  f"must be non-negative, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,8 @@ class NumericsConfig:
 
     def __post_init__(self):
         if self.ensemble_nodes < 1:
-            raise ValueError(f"ensemble_nodes must be >= 1, got {self.ensemble_nodes}")
+            raise ConfigError("numerics.ensemble_nodes",
+                              f"must be >= 1, got {self.ensemble_nodes}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,9 @@ def _parse_network(block: Dict, path: str = "network") -> NetworkSpec:
 
 def _parse_simple(block: Dict, cls, path: str):
     """Build dataclass ``cls`` from ``block``: its fields name the keys and
-    give their types and defaults, and its ``__post_init__`` checks ranges."""
+    give their types and defaults, and its ``__post_init__`` checks ranges.
+    A ``ConfigError`` from that check keeps its key path; any other
+    ValueError is given the block's."""
     block = _require_dict(block, path)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     _check_keys(block, fields, path)
@@ -214,6 +219,8 @@ def _parse_simple(block: Dict, cls, path: str):
         kwargs[name] = _get(block, name, path, kind, default=f.default)
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -277,23 +284,27 @@ def _check_bands(config: RunConfig) -> None:
                 raise ConfigError(key, f"the band reaches {reach}; narrow the band")
 
 
-def parse_config(path) -> RunConfig:
-    """Load and validate a JSON config file.
+def read_config_document(path):
+    """The JSON document of a config file, unvalidated.
 
-    An empty file is treated as an empty document, so the error names the
-    first missing required key instead of a JSON parse failure.
+    An empty file is read as the empty document, so validating it names
+    the first missing required key instead of a JSON parse failure.
     """
     p = Path(path)
     if not p.exists():
         raise ConfigError(str(p), "config file does not exist")
     text = p.read_text()
     if not text.strip():
-        return config_from_dict({})
+        return {}
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(str(p), f"not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def parse_config(path) -> RunConfig:
+    """Load and validate a JSON config file (``read_config_document``)."""
+    return config_from_dict(read_config_document(path))
 
 
 def config_sha256(raw: Dict) -> str:

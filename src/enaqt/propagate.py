@@ -485,25 +485,82 @@ def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
     """How physical a stack of density runs is, shape (runs, nz, d, d) or
     one run (nz, d, d): the largest trace increase within a run (step to
     step along z, or above 1), the smallest eigenvalue and the largest
-    Hermiticity error.  Traces and Hermiticity are taken one run at a time,
-    so no run's trace is compared with another's and their scratch memory
-    is one run's; the eigenvalues of the whole stack come from one
-    ``eigvalsh`` call, which returns only d per matrix."""
-    max_growth, herm = -math.inf, 0.0
-    for run in rhos.reshape((-1,) + rhos.shape[-3:]):
-        traces = np.real(np.einsum("zii->z", run))
-        max_growth = max(max_growth, float(np.max(np.diff(traces), initial=0.0)),
-                         float(traces.max()) - 1.0)
-        herm = max(herm, float(np.max(np.abs(run - np.conj(np.swapaxes(run, 1, 2))))))
-    return {"max_trace_increase": max_growth,
-            "min_eigenvalue": float(np.linalg.eigvalsh(rhos).min()),
+    Hermiticity error.
+
+    One pass over the stack in chunks of whole runs, each of at most
+    ``STEP_STACK`` d^2 matrices (the size of one step chunk of
+    ``_propagate``), so the scratch memory is a few such chunks and no
+    run's trace is compared with another's.  Each chunk is also screened
+    by ``_certified_positive`` with the shift
+    tau = 64 d^2 eps max|rho_ii| over the stack.  A matrix it certifies
+    has a smallest ``eigvalsh`` eigenvalue above 0, so only the others
+    can hold a minimum below 0: ``eigvalsh`` runs on them, and if their
+    minimum is negative it is the stack's.  Otherwise the whole stack goes
+    through ``eigvalsh``.  Either way the minimum is LAPACK's, bit for bit.
+    """
+    runs = rhos.reshape((-1,) + rhos.shape[-3:])
+    nz, d = runs.shape[1], runs.shape[-1]
+    shift = 64 * d * d * np.finfo(float).eps * max(
+        float(np.abs(runs[..., i, i]).max()) for i in range(d))
+    per_chunk = max(1, STEP_STACK * d * d // nz)
+    growth, herm = 0.0, 0.0
+    certified = np.empty(runs.shape[:2], dtype=bool)
+    for lo in range(0, runs.shape[0], per_chunk):
+        chunk = runs[lo:lo + per_chunk]
+        traces = np.real(np.einsum("rzii->rz", chunk))
+        growth = max(growth, float(np.max(np.diff(traces), initial=0.0)),
+                     float(traces.max()) - 1.0)
+        certified[lo:lo + per_chunk] = _certified_positive(
+            chunk.reshape(-1, d, d), shift).reshape(chunk.shape[:2])
+        # conj(rho) - rho^T in place: the conjugate of rho - conj(rho^T), so
+        # the same moduli, with one contiguous temporary
+        error = np.conj(chunk)
+        error -= np.swapaxes(chunk, -1, -2)
+        herm = max(herm, float(np.abs(error).max()))
+        del error  # not held through the next chunk's screen
+    suspects = runs[~certified]
+    least = float(np.linalg.eigvalsh(suspects).min()) if suspects.size else 0.0
+    if not least < 0.0:  # the minimum may be in a certified matrix
+        least = float(np.linalg.eigvalsh(rhos).min())
+    return {"max_trace_increase": growth, "min_eigenvalue": least,
             "max_hermiticity_error": herm}
+
+
+def _certified_positive(stack: np.ndarray, shift: float) -> np.ndarray:
+    """For each matrix of a stack (m, d, d), whether the Cholesky
+    factorization of its lower triangle minus ``shift`` I finds every pivot
+    positive: one vectorized factorization, the stack axis last, and no
+    LAPACK call.
+
+    The lower triangle is the Hermitian matrix H that ``eigvalsh`` reads.
+    A computed factor with positive pivots is exact for H - shift I + E,
+    with |E| <= gamma_(d+1) |L||L^H| (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), so ||E|| <= d gamma_(d+1) max H_ii,
+    a few d^2 eps max H_ii at most, and the least eigenvalue of H is at
+    least shift - ||E||.  With ``_density_margins``' shift of
+    64 d^2 eps max|H_ii| that is still some 60 d^2 eps max H_ii, far above
+    ``zheevd``'s eigenvalue error, a small multiple of
+    eps ||H|| <= eps tr H <= d eps max H_ii, so the computed least
+    eigenvalue of a certified matrix is above 0."""
+    a = np.moveaxis(stack, 0, -1).copy()
+    ok = np.ones(a.shape[-1], dtype=bool)
+    for k in range(a.shape[0]):
+        pivot = a[k, k].real - shift
+        ok &= pivot > 0.0
+        column = a[k + 1:, k] / np.sqrt(np.where(ok, pivot, 1.0))
+        conj = column.conj()
+        # update the lower triangle only, a row at a time: small temporaries
+        for i, entry in enumerate(column, start=k + 1):
+            a[i, k + 1:i + 1] -= entry * conj[:i - k]
+    return ok
 
 
 def _check_density_stack(rhos: np.ndarray) -> Dict[str, float]:
     """The ``_density_margins`` of a stack of runs; raise NumericalError on
-    trace growth or a negative eigenvalue beyond 1e-9, or a Hermiticity
-    error beyond 1e-10."""
+    a NaN or infinite entry, on trace growth or a negative eigenvalue
+    beyond 1e-9, or on a Hermiticity error beyond 1e-10."""
+    if not np.all(np.isfinite(rhos)):
+        raise NumericalError("density stack is not finite")
     margins = _density_margins(rhos)
     if margins["max_trace_increase"] > 1e-9:
         raise NumericalError(f"density trace grows by {margins['max_trace_increase']:.3e}")

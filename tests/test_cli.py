@@ -45,6 +45,38 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "config file does not exist"),
+    ("{not json", "not valid JSON"),
+    ("", "config.network: missing required key"),  # an empty file is {}
+    ("  \n", "config.network: missing required key"),
+], ids=["missing", "invalid-json", "empty", "blank"])
+def test_config_file_errors_exit_2(tmp_path, capsys, text, message):
+    p = tmp_path / "config.json"
+    if text is not None:
+        p.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", str(p), "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_is_read_once(tmp_path, monkeypatch):
+    p = small_config(tmp_path)
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    assert main(["simulate", str(p), "--output-dir", str(tmp_path / "out")]) == 0
+    assert reads.count(p) == 1
+    manifest = json.loads(read_text(tmp_path / "out" / "dynamics_manifest.json"))
+    assert manifest["config"] == json.loads(read_text(p))
+
+
 def test_schema_error_exits_2_with_key_path(tmp_path, capsys):
     raw = default_config_dict()
     raw["network"]["couplings"][0]["coupling_per_cm"] = -2.0
@@ -223,11 +255,8 @@ def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     p.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main([command, str(p), "--output-dir", str(out)]) == 2
-    block, name = next(iter(updates)).split(".")
-    # the grid and band checks name the key path; a block's dataclass names
-    # the block, then the key
-    err = capsys.readouterr().err
-    assert f"{block}.{name}: " in err or f"{block}: {name} " in err
+    # every check of these blocks names the key path
+    assert f"{next(iter(updates))}: " in capsys.readouterr().err
     assert not list(out.glob("*"))
 
 

@@ -198,6 +198,24 @@ def test_bundled_values_are_the_dataclass_defaults(stripped):
 def test_dataclass_checks_name_block_and_key(path, key, value):
     raw = default_config_dict()
     _block(raw, path)[key] = value
-    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: {key} ") as caught:
+    if path in ("experiment", "numerics"):
+        # config's own blocks name the key path, as the band check does
+        want, message = f"{path}.{key}", rf"^{re.escape(path)}\.{key}: must be "
+    else:
+        # another module's dataclass names the block, then the key
+        want, message = path, rf"^{re.escape(path)}: {key} "
+    with pytest.raises(ConfigError, match=message) as caught:
         config_from_dict(raw)
-    assert caught.value.path == path
+    assert caught.value.path == want
+
+
+@pytest.mark.parametrize("value, message", [
+    (-5.0, "must be non-negative, got -5.0"),  # the dataclass's range check
+    (1580.0, "the band reaches"),  # the band check, which needs the network
+])
+def test_bandwidth_max_errors_name_the_key_path(value, message):
+    raw = default_config_dict()
+    raw["experiment"]["bandwidth_max_nm"] = value
+    with pytest.raises(ConfigError, match=message) as caught:
+        config_from_dict(raw)
+    assert caught.value.path == "experiment.bandwidth_max_nm"

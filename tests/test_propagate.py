@@ -14,7 +14,7 @@ from enaqt import (AmplitudeState, DensityState, DispersionModel, HamiltonianMat
                    enaqt4_network, evolve_lindblad, evolve_trapped, evolve_unitary,
                    parse_config, sink_no_return_check, tophat_gamma_closed_form,
                    wavelength_grid)
-from enaqt import propagate
+from enaqt import analysis, propagate
 from enaqt.lattice import DETUNING_LAWS
 from enaqt.propagate import (NumericalError, _check_density_stack, _density_margins, _expm,
                              _lindblad_runs, _propagate, _unitary_amplitudes,
@@ -386,6 +386,137 @@ def test_density_check_never_compares_across_runs():
     stack[1, 1] = np.diag([0.6, 0.45])
     with pytest.raises(NumericalError, match="trace grows by 5.000e-02"):
         _check_density_stack(stack)
+
+
+@pytest.fixture(scope="module")
+def cli_stacks():
+    """The density stacks that map, map --extended and sweep-bandwidth check
+    on the bundled config."""
+    config = parse_config(bundled_network_path())
+    net, exp, num = config.network, config.experiment, config.numerics
+    stacks = []
+
+    def keep(*args, **kwargs):
+        rhos, margins = _lindblad_runs(*args, **kwargs)
+        stacks.append(rhos)
+        return rhos, margins
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_lindblad_runs", keep)
+        analysis.enaqt_map(net, wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm),
+                           wavelength_grid(0.0, 0.0, exp.gamma_max_per_cm,
+                                           exp.gamma_step_per_cm))
+        analysis.enaqt_map(net, wavelength_grid(0.0, 0.0, 500.0, 5.0),
+                           wavelength_grid(0.0, 0.0, 0.5, 0.025))
+        analysis.sweep_bandwidth(
+            net, wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm),
+            exp.z_cm, nodes=num.ensemble_nodes, sensitivity=num.sensitivity_fraction)
+    return dict(zip(["map", "map-extended", "bandwidth"], stacks))
+
+
+def _margins_run_by_run(rhos):
+    # the margins as a loop over runs and one eigvalsh of the whole stack take them
+    growth, herm = 0.0, 0.0
+    for run in rhos.reshape((-1,) + rhos.shape[-3:]):
+        traces = np.real(np.einsum("zii->z", run))
+        growth = max(growth, float(np.max(np.diff(traces), initial=0.0)),
+                     float(traces.max()) - 1.0)
+        herm = max(herm, float(np.max(np.abs(run - np.conj(np.swapaxes(run, 1, 2))))))
+    return {"max_trace_increase": growth,
+            "min_eigenvalue": float(np.linalg.eigvalsh(rhos).min()),
+            "max_hermiticity_error": herm}
+
+
+def _screen_shift(rhos):
+    d = rhos.shape[-1]
+    return 64 * d * d * np.finfo(float).eps * np.abs(
+        rhos.diagonal(axis1=-2, axis2=-1)).max()
+
+
+@pytest.mark.parametrize("name", ["map", "map-extended", "bandwidth"])
+def test_margins_of_the_cli_stacks_are_the_run_by_run_margins(cli_stacks, name):
+    rhos = cli_stacks[name]
+    margins = _density_margins(rhos)
+    assert margins["min_eigenvalue"] == float(np.linalg.eigvalsh(rhos).min())
+    assert margins == _margins_run_by_run(rhos)
+
+
+def _random_density(rng, d, rank):
+    v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = v @ v.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("factor", [-10.0, -0.1, 0.1, 10.0])
+def test_min_eigenvalue_is_lapacks_on_perturbed_rank_deficient_stacks(d, factor):
+    # each density gets one more eigenvalue of +-tau/10 or +-10 tau on a null
+    # vector: around the screen's shift tau, on either side of 0
+    rng = np.random.default_rng(7 + d)
+    rhos = np.empty((5, 300, d, d), dtype=complex)  # chunks of 1 run at d = 2, 3 at d = 4
+    for idx in np.ndindex(rhos.shape[:2]):
+        rhos[idx] = _random_density(rng, d, rank=int(rng.integers(1, d)))
+    tau = _screen_shift(rhos)
+    for idx in np.ndindex(rhos.shape[:2]):
+        null = np.linalg.eigh(rhos[idx])[1][:, 0]
+        rhos[idx] += factor * tau * np.outer(null, null.conj())
+    eigs = np.linalg.eigvalsh(rhos).min(axis=-1)
+    certified = propagate._certified_positive(rhos.reshape(-1, d, d), tau)
+    assert np.all(eigs.ravel()[certified] > 0.0)
+    assert _density_margins(rhos)["min_eigenvalue"] == float(eigs.min())
+
+
+def _spy_eigvalsh(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(int(np.prod(a.shape[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+def test_a_positive_stack_takes_the_whole_stack_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(3)
+    rhos = np.array([[_random_density(rng, 4, 4) for _ in range(20)] for _ in range(6)])
+    sizes = _spy_eigvalsh(monkeypatch)
+    margins = _density_margins(rhos)
+    assert sizes == [rhos.shape[0] * rhos.shape[1]]
+    assert margins["min_eigenvalue"] > 0.0
+    assert margins["min_eigenvalue"] == float(np.linalg.eigvalsh(rhos).min())
+
+
+@pytest.mark.parametrize("run, z", [(0, 0), (24, 99), (9, 99), (10, 0)],
+                         ids=["first-chunk", "last-chunk", "end-of-chunk", "start-of-chunk"])
+def test_a_small_negative_eigenvalue_is_recorded_in_any_chunk(run, z):
+    # 25 runs x 100 z of 4x4 densities go in chunks of 10 runs
+    rng = np.random.default_rng(11)
+    rhos = np.tile(_random_density(rng, 4, 4), (25, 100, 1, 1))
+    modes = np.linalg.eigh(_random_density(rng, 4, 4))[1]
+    rhos[run, z] = modes @ np.diag([0.5, 0.3, 0.2, -1e-12]) @ modes.conj().T
+    least = _density_margins(rhos)["min_eigenvalue"]
+    assert least == float(np.linalg.eigvalsh(rhos).min())
+    assert least == pytest.approx(-1e-12, rel=1e-3)
+
+
+def test_the_map_stack_sends_few_matrices_to_eigvalsh(cli_stacks, monkeypatch):
+    rhos = cli_stacks["map"]
+    sizes = _spy_eigvalsh(monkeypatch)
+    _density_margins(rhos)
+    assert rhos.shape[0] * rhos.shape[1] == 3171
+    assert len(sizes) == 1 and 0 < sizes[0] <= 400
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("run", [0, -1], ids=["first-run", "last-run"])
+def test_a_non_finite_density_stack_is_refused(value, run):
+    rhos = np.tile(np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex), (4, 6, 1, 1))
+    _check_density_stack(rhos)
+    rhos[run, run, 1, 0] = value
+    with pytest.raises(NumericalError, match="density stack is not finite"):
+        _check_density_stack(rhos)
 
 
 @pytest.mark.parametrize("zs", [[0.0], [0.0, 0.0, 0.0]])
