@@ -20,14 +20,14 @@ from .decoherence import (EnsembleResult, Spectrum, coherence_decay_pair,
                           g1, spectral_nodes, tophat_gamma_closed_form)
 from .lattice import (DispersionModel, HamiltonianMatrix, NetworkSpec, SinkSpec,
                       build_hamiltonian, enaqt4_network)
-from .propagate import (AmplitudeState, DensityState, EvolutionTrace,
-                        NoReturnReport, NumericalError, evolve_lindblad,
-                        evolve_trapped, evolve_unitary, sink_no_return_check)
+from .propagate import (EvolutionTrace, NoReturnReport, NumericalError,
+                        evolve_lindblad, evolve_trapped, evolve_unitary,
+                        sink_no_return_check, site_state)
 
 __all__ = [
     "__version__",
-    "AmplitudeState", "ConfigError", "CouplingCurve", "DarkStateReport",
-    "DensityState", "DispersionModel", "EnsembleResult", "EvolutionTrace",
+    "ConfigError", "CouplingCurve", "DarkStateReport",
+    "DispersionModel", "EnsembleResult", "EvolutionTrace",
     "HamiltonianMatrix", "NetworkSpec", "NoReturnReport", "NumericalError",
     "RunConfig", "SinkSpec", "Spectrum", "SweepResult",
     "build_hamiltonian", "bundled_network_path", "coherence_decay_pair",
@@ -36,6 +36,6 @@ __all__ = [
     "enaqt4_network", "enaqt_map", "ensemble_average", "evolve_lindblad",
     "evolve_trapped", "evolve_unitary", "fit_coupling_curve", "g1",
     "pair_transfer", "parse_config",
-    "sink_no_return_check", "spectral_nodes", "sweep_bandwidth",
+    "sink_no_return_check", "site_state", "spectral_nodes", "sweep_bandwidth",
     "sweep_wavelength", "tophat_gamma_closed_form", "wavelength_grid",
 ]

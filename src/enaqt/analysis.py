@@ -26,7 +26,7 @@ from .calibration import effective_trap_rate
 from .decoherence import (Spectrum, band_fit, coherent_efficiency, decoherence_strength,
                           spectral_nodes)
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
-from .propagate import AmplitudeState, _eigh, _lindblad_runs
+from .propagate import _eigh, _lindblad_runs, site_state
 
 DARK_OVERLAP_THRESHOLD = 1e-12
 # reference efficiencies below this have trapped nothing yet but rounding
@@ -172,8 +172,7 @@ def sweep_wavelength(net: NetworkSpec, wavelengths_nm: Sequence[float],
     holds slightly more of the input and has barely started to leak).
     """
     lams = np.asarray(wavelengths_nm, dtype=float)
-    psi0 = AmplitudeState.site(net.dimension, net.input_site)
-    etas = coherent_efficiency(net, lams, psi0, z_cm)
+    etas = coherent_efficiency(net, lams, z_cm)
     return SweepResult(
         kind="wavelength-sweep",
         columns={"wavelength_nm": lams, "efficiency": etas},
@@ -236,8 +235,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     def enhancement(etas: np.ndarray) -> np.ndarray:
         return _relative_enhancement(etas[rows], etas[ref])
 
-    psi0 = AmplitudeState.site(net.dimension, net.input_site)
-    fit = band_fit(net, Spectrum.tophat(lam0, float(points.max())), psi0, z_cm)
+    fit = band_fit(net, Spectrum.tophat(lam0, float(points.max())), z_cm)
     # every bandwidth's nodes through the fit at once; chebval is pointwise
     quadratures = [spectral_nodes(Spectrum.tophat(lam0, float(b)), nodes) for b in points]
     values = np.split(fit(np.concatenate([lams for lams, _ in quadratures])),
@@ -297,10 +295,8 @@ def _lindblad_efficiencies(net: NetworkSpec, hams: Sequence[HamiltonianMatrix], 
     stack, shape (runs, nz), from the input site with dephasing on
     ``dephasing_site(net)``; row i of ``rates`` runs under ``hams[i]``.
     Also the stack's density margins, for the manifest."""
-    rho0 = np.zeros((net.n_sites, net.n_sites), dtype=complex)
-    rho0[net.input_site, net.input_site] = 1.0
-    rhos, margins = _lindblad_runs(hams, rates, kappa, net.target_site,
-                                   dephasing_site(net), rho0, zs)
+    rhos, margins = _lindblad_runs(hams, rates, kappa, net.target_site, dephasing_site(net),
+                                   site_state(net.n_sites, net.input_site), zs)
     return 1.0 - np.real(np.einsum("rzii->rzi", rhos)).sum(axis=2), margins
 
 

@@ -42,12 +42,14 @@ def fit_coupling_curve(samples: Sequence[Tuple[float, float]]) -> CouplingCurve:
     """Least-squares fit of ln C against separation.
 
     Linear in log space, so the fit is exact for noiseless exponential
-    data.  Needs at least two distinct separations.
+    data.  Needs at least two distinct separations, each sample positive
+    and finite, and a fitted amplitude that is a finite float.
     """
     samples = tuple((float(s), float(c)) for s, c in samples)
     for s, c in samples:
-        if s <= 0 or c <= 0:
-            raise ValueError(f"separations and couplings must be positive, got ({s}, {c})")
+        if not (0 < s < math.inf and 0 < c < math.inf):
+            raise ValueError("separations and couplings must be positive and finite, "
+                             f"got ({s}, {c})")
     seps = np.array([s for s, _ in samples])
     if len(set(seps.tolist())) < 2:
         raise ValueError("need samples at >= 2 distinct separations to fit")
@@ -57,9 +59,13 @@ def fit_coupling_curve(samples: Sequence[Tuple[float, float]]) -> CouplingCurve:
     slope, intercept = coeffs
     if slope >= 0:
         raise ValueError("fitted coupling grows with separation; data is not evanescent decay")
+    with np.errstate(over="ignore"):
+        amplitude = float(np.exp(intercept))
+    if amplitude == math.inf:
+        raise ValueError(f"fitted amplitude exp({intercept:.4g}) per cm overflows")
     fitted = intercept + slope * seps
     return CouplingCurve(
-        amplitude_per_cm=float(np.exp(intercept)),
+        amplitude_per_cm=amplitude,
         decay_length_um=float(-1.0 / slope),
         samples=samples,
         log_residuals=tuple(float(r) for r in (logc - fitted)),

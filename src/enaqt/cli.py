@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -108,8 +109,7 @@ def _cmd_simulate(args) -> int:
     zs = analysis.wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm)
 
     h = lattice.build_hamiltonian(net, lam0)
-    psi0 = propagate.AmplitudeState.site(h.dimension, net.input_site)
-    trace = propagate.evolve_unitary(h, psi0, zs)
+    trace = propagate.evolve_unitary(h, propagate.site_state(h.dimension, net.input_site), zs)
 
     columns = {"z_cm": zs}
     for m in range(net.n_sites):
@@ -119,8 +119,7 @@ def _cmd_simulate(args) -> int:
     if net.sink is not None:
         kappa = analysis.effective_kappa(net)
         trapped = propagate.evolve_trapped(h.system_block(), kappa, net.target_site,
-                                           propagate.AmplitudeState.site(net.n_sites,
-                                                                         net.input_site),
+                                           propagate.site_state(net.n_sites, net.input_site),
                                            zs)
         columns["sink_fraction_effective_rate"] = trapped.sink_population
 
@@ -181,14 +180,19 @@ def _cmd_calibrate(args) -> int:
     if not path.exists():
         raise ConfigError(str(path), "calibration CSV does not exist")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                continue  # header line
+        lines = [(n, row) for n, row in enumerate(csv.reader(fh), start=1)
+                 if row and not row[0].strip().startswith("#")]
+    for k, (n, row) in enumerate(lines):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            if k == 0:
+                continue  # the header, the only line that need not be numbers
+            values = []
+        if len(values) != 2:
+            raise ConfigError(f"{path}:{n}", "expected separation_um,coupling_per_cm "
+                                             f"as two numbers, got {','.join(row)!r}")
+        rows.append(tuple(values))
     try:
         curve = calibration.fit_coupling_curve(rows)
     except ValueError as exc:
@@ -234,12 +238,11 @@ def _cmd_check(args) -> int:
     # quadrature convergence of the spectral ensemble: its efficiency is
     # sum_k w_k eta_coh(lambda_k), so both node sets run in one coherent call
     if net.sink is not None and not config.spectrum.is_monochromatic:
-        psi0 = propagate.AmplitudeState.site(net.dimension, net.input_site)
         n = num.ensemble_nodes
         lams_n, w_n = decoherence.spectral_nodes(config.spectrum, n)
         lams_2n, w_2n = decoherence.spectral_nodes(config.spectrum, 2 * n - 1)
         etas = decoherence.coherent_efficiency(net, np.concatenate((lams_n, lams_2n)),
-                                               psi0, config.experiment.z_cm)
+                                               config.experiment.z_cm)
         drift = abs(float(w_n @ etas[: lams_n.size]) - float(w_2n @ etas[lams_n.size:]))
         report("ensemble quadrature convergence", drift < 1e-4,
                f"sink fraction moves {drift:.2e} when nodes {n} -> {2 * n - 1}")
@@ -264,7 +267,7 @@ def _cmd_check(args) -> int:
     # generic propagator
     c, dbeta, z = 1.3, 0.7, 4.2
     h2 = lattice.HamiltonianMatrix(np.array([[0.0, c], [c, dbeta]]), lam0, 2)
-    trace = propagate.evolve_unitary(h2, propagate.AmplitudeState.site(2, 0), [z])
+    trace = propagate.evolve_unitary(h2, propagate.site_state(2, 0), [z])
     err = abs(trace.populations[-1, 1] - calibration.pair_transfer(c, dbeta, z))
     report("pair-transfer oracle (self-test)", err < 1e-10, f"|mismatch| {err:.2e}")
 
@@ -282,7 +285,7 @@ def _cmd_check(args) -> int:
         # are a dark mode's rounding
         rates = -2.0 * np.linalg.eigvals(h_eff).imag
         z_long = 50.0 / rates[rates > 1e-9 * kappa].min()
-        psi0 = propagate.AmplitudeState.site(net.n_sites, net.input_site)
+        psi0 = propagate.site_state(net.n_sites, net.input_site)
         trapped = float(propagate.evolve_trapped(h_sys, kappa, net.target_site, psi0,
                                                  [z_long]).sink_population[-1])
         gap = abs(trapped - diag.efficiency_bound)
@@ -293,7 +296,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="enaqt",
         description="Simulator for decoherence-enhanced transport on "

@@ -37,7 +37,7 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .lattice import NetworkSpec
-from .propagate import NumericalError, _initial_amplitudes, _wavelength_amplitudes
+from .propagate import NumericalError, _initial_amplitudes, _wavelength_amplitudes, site_state
 from .units import C_LIGHT_CM_PER_S, nm_to_cm
 
 SPECTRUM_SHAPES = ("tophat", "gaussian")
@@ -315,17 +315,18 @@ def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def coherent_efficiency(net: NetworkSpec, wavelengths_nm, psi0, z_cm: float) -> np.ndarray:
+def coherent_efficiency(net: NetworkSpec, wavelengths_nm, z_cm: float) -> np.ndarray:
     """eta_coh(lambda) = 1 - sum_system |psi(lambda, z)|^2 at each wavelength:
-    the light one coherent run with the explicit sink has trapped by z.
-    Only the system guides of each run are propagated to the end."""
-    amps = _initial_amplitudes(psi0, net.dimension)
+    the light one coherent run with the explicit sink, launched at the
+    input guide, has trapped by z.  Only the system guides of each run are
+    propagated to the end."""
+    amps = site_state(net.dimension, net.input_site)
     system = _wavelength_amplitudes(net, wavelengths_nm, amps, z_cm, rows=net.n_sites)
     return 1.0 - np.sum(np.abs(system) ** 2, axis=1)
 
 
-def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit:
-    """Fit eta_coh = 1 - sum_system |psi(z)|^2 over the spectrum's band.
+def band_fit(net: NetworkSpec, spectrum: Spectrum, z_cm: float) -> BandFit:
+    """Fit ``coherent_efficiency`` eta_coh over the spectrum's band.
 
     Fits eta at n Chebyshev-Lobatto points in angular frequency, one
     coherent run each, from n = ``FIT_FIRST_POINTS`` and going from n to
@@ -344,7 +345,7 @@ def band_fit(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float) -> BandFit
     w0, half = spectrum.center_angular_frequency, spectrum.half_band
 
     def eta(x: np.ndarray) -> np.ndarray:
-        return coherent_efficiency(net, _wavelength_nm(w0 + half * x), psi0, z_cm)
+        return coherent_efficiency(net, _wavelength_nm(w0 + half * x), z_cm)
 
     if half == 0.0:
         return BandFit(w0, 0.0, eta(np.zeros(1)), 0.0)

@@ -31,7 +31,6 @@ class DispersionModel:
     """
 
     lambda0_nm: float = 792.5
-    beta0_per_cm: float = 0.0
     detuning0_per_cm: float = 1.0
     detuning_law: str = "inverse-lambda"
     coupling_slope_per_nm: float = 0.01
@@ -200,7 +199,7 @@ def hamiltonian_parts(net: NetworkSpec,
     couplings, sink chain included, zero diagonal), so that at wavelength
     lambda, with d and c the dispersion's detuning and coupling scales,
 
-        H(lambda) = beta0 I + d(lambda) diag(D) + c(lambda) A.
+        H(lambda) = d(lambda) diag(D) + c(lambda) A.
 
     Every Hamiltonian of the package has this form.  Sink guides sit at the
     reference propagation constant and inherit the coupling dispersion of
@@ -229,14 +228,14 @@ def build_hamiltonian(net: NetworkSpec, wavelength_nm: float,
     """Assemble the tight-binding matrix of ``net`` at one wavelength from
     its ``hamiltonian_parts``.
 
-    The global propagation constant enters only as a uniform diagonal
-    offset (beta0, default 0); populations depend on detuning differences
-    alone.
+    Propagation constants are measured from the reference guide's: a
+    common offset would be a global phase, and populations depend on
+    detuning differences alone.
     """
     if wavelength_nm <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
     disp = net.dispersion
     detunings, couplings = hamiltonian_parts(net, include_sink)
     h = disp.coupling_scale(wavelength_nm) * couplings
-    np.fill_diagonal(h, disp.beta0_per_cm + disp.detuning_scale(wavelength_nm) * detunings)
+    np.fill_diagonal(h, disp.detuning_scale(wavelength_nm) * detunings)
     return HamiltonianMatrix(h, wavelength_nm, net.n_sites)

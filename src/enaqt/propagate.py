@@ -2,8 +2,10 @@
 
 All engines are pure functions of (Hamiltonian, initial state, z grid) and
 return fresh :class:`EvolutionTrace` objects, so callers may evaluate many
-of them concurrently.  Propagation distance z plays the role of time; all
-rates are in cm^-1 and distances in cm.
+of them concurrently.  Initial states are plain arrays (``site_state``
+builds the launch state), checked in one place each: ``_initial_amplitudes``
+and ``_initial_density``.  Propagation distance z plays the role of time;
+all rates are in cm^-1 and distances in cm.
 """
 
 from __future__ import annotations
@@ -31,55 +33,6 @@ class NumericalError(RuntimeError):
     """Raised when a decomposition fails or an engine's output is not physical."""
 
 
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Complex amplitude vector over guides (pure state)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1:
-            raise ValueError(f"amplitudes must be a vector, got shape {amps.shape}")
-        _require_finite(amps, "amplitudes")
-        n2 = float(np.vdot(amps, amps).real)
-        if n2 > 1.0 + 1e-9:
-            raise ValueError(f"squared norm {n2} exceeds 1")
-
-    @classmethod
-    def site(cls, dim: int, site: int) -> "AmplitudeState":
-        amps = np.zeros(dim, dtype=complex)
-        amps[site] = 1.0
-        return cls(amps)
-
-
-@dataclass(frozen=True)
-class DensityState:
-    """Hermitian density matrix over guides."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", rho)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-        _require_finite(rho, "density matrix")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian")
-        tr = float(np.trace(rho).real)
-        if tr > 1.0 + 1e-9:
-            raise ValueError(f"trace {tr} exceeds 1")
-        if float(np.linalg.eigvalsh(rho).min()) < -1e-9:
-            raise ValueError("density matrix has a negative eigenvalue")
-
-    @classmethod
-    def pure(cls, psi) -> "DensityState":
-        amps = _as_amplitudes(psi)
-        return cls(np.outer(amps, amps.conj()))
-
-
 @dataclass(eq=False)
 class EvolutionTrace:
     """Populations along a propagation run.
@@ -104,12 +57,6 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _as_amplitudes(psi) -> np.ndarray:
-    if isinstance(psi, AmplitudeState):
-        return psi.amplitudes
-    return np.asarray(psi, dtype=complex)
-
-
 def _as_zgrid(z_grid) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if zs.ndim != 1 or zs.size == 0:
@@ -121,10 +68,21 @@ def _as_zgrid(z_grid) -> np.ndarray:
     return zs
 
 
+def site_state(dim: int, site: int) -> np.ndarray:
+    """The complex unit amplitude vector of ``dim`` guides with all the light
+    in guide ``site``: the launch state of every experiment."""
+    if not 0 <= site < dim:
+        raise ValueError(f"site {site} out of range for {dim} guides")
+    amps = np.zeros(dim, dtype=complex)
+    amps[site] = 1.0
+    return amps
+
+
 def _initial_amplitudes(psi0, dim: int) -> np.ndarray:
-    amps = _as_amplitudes(psi0)
-    if amps.shape[0] != dim:
-        raise ValueError(f"state dimension {amps.shape[0]} != Hamiltonian {dim}")
+    """``psi0`` as a complex vector; it must be finite and normalized."""
+    amps = np.asarray(psi0, dtype=complex)
+    if amps.shape != (dim,):
+        raise ValueError(f"state shape {amps.shape} != ({dim},) of the Hamiltonian")
     _require_finite(amps, "initial state")
     n2 = float(np.vdot(amps, amps).real)
     if abs(n2 - 1.0) > 1e-9:
@@ -133,7 +91,9 @@ def _initial_amplitudes(psi0, dim: int) -> np.ndarray:
 
 
 def _initial_density(rho0, dim: int) -> np.ndarray:
-    rho = rho0.matrix if isinstance(rho0, DensityState) else _as_amplitudes(rho0)
+    """``rho0`` as a complex density matrix, a vector promoted to its pure
+    density; it must be finite, of unit trace, Hermitian and positive."""
+    rho = np.asarray(rho0, dtype=complex)
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
     if rho.shape != (dim, dim):
@@ -142,6 +102,11 @@ def _initial_density(rho0, dim: int) -> np.ndarray:
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"initial state must have unit trace, trace is {tr}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        raise ValueError("initial density matrix is not Hermitian")
+    least = float(np.linalg.eigvalsh(rho).min())
+    if least < -1e-9:
+        raise ValueError(f"initial density matrix has eigenvalue {least:.3e}")
     return rho
 
 
@@ -283,7 +248,7 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     Only the first ``rows`` guides of each psi are returned, all of them by
     default.
 
-    Every H(lambda) is beta0 I + d(lambda) diag(D) + c(lambda) A
+    Every H(lambda) is d(lambda) diag(D) + c(lambda) A
     (``hamiltonian_parts``).  With each wavelength's spectrum inside
     [e - a, e + a] (Gershgorin discs), exp(-iHz) is expanded as
     exp(-iez) sum_k (2 - delta_k0) (-i)^k J_k(az) T_k((H - e)/a)
@@ -307,8 +272,7 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     detunings, couplings = hamiltonian_parts(net)
     cscale = np.array([disp.coupling_scale(lam) for lam in lams])
     # diagonal of H(lambda), one column per wavelength, and its Gershgorin discs
-    diagonal = disp.beta0_per_cm + np.outer(
-        detunings, [disp.detuning_scale(lam) for lam in lams])
+    diagonal = np.outer(detunings, [disp.detuning_scale(lam) for lam in lams])
     radius = np.abs(couplings).sum(axis=1)
     lo = (diagonal - np.outer(radius, cscale)).min(axis=0)
     hi = (diagonal + np.outer(radius, cscale)).max(axis=0)
@@ -641,8 +605,9 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
         sink chain, with this engine).
     kappa, dephasing_rate : float
         Trapping and dephasing rates in cm^-1, both >= 0.
-    rho0 : DensityState, matrix, AmplitudeState or amplitude vector
-        Initial state of unit trace; vectors are promoted to pure densities.
+    rho0 : array
+        Initial (d, d) density matrix, or an amplitude vector promoted to its
+        pure density; it must have unit trace and be Hermitian and positive.
     z_grid : array
         Output grid, non-decreasing from z >= 0.
     """
@@ -699,9 +664,9 @@ def sink_no_return_check(net: NetworkSpec, z_max: float,
     def run(spec: NetworkSpec):
         # the system guides, then the last sink guide
         h = build_hamiltonian(spec, lam)
-        psi0 = AmplitudeState.site(h.dimension, spec.input_site)
+        psi0 = site_state(h.dimension, spec.input_site)
         guides = np.append(np.arange(spec.n_sites), h.dimension - 1)
-        return np.abs(_unitary_amplitudes(h, psi0.amplitudes, zs, guides)) ** 2
+        return np.abs(_unitary_amplitudes(h, psi0, zs, guides)) ** 2
 
     pops = run(net)
     longer = dataclasses.replace(

@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from enaqt import (AmplitudeState, HamiltonianMatrix, Spectrum,
+from enaqt import (HamiltonianMatrix, Spectrum,
                    build_hamiltonian, coherence_decay_pair, dark_state_diagnostics,
                    decoherence_strength, effective_trap_rate, enaqt4_network,
                    ensemble_average, evolve_lindblad, evolve_trapped, evolve_unitary,
-                   pair_transfer, sink_no_return_check, sweep_bandwidth,
+                   pair_transfer, sink_no_return_check, site_state, sweep_bandwidth,
                    sweep_wavelength, tophat_gamma_closed_form, wavelength_grid)
 from enaqt.cli import main as cli_main
 from enaqt.config import default_config_dict
@@ -48,7 +48,7 @@ def test_criterion_01_dark_state(h_system):
 def test_criterion_02_asymptotic_efficiency(h_system):
     def body():
         kappa = effective_trap_rate(1.5 / 1.75, 1.75)
-        trace = evolve_trapped(h_system, kappa, 2, AmplitudeState.site(4, 0), [500.0])
+        trace = evolve_trapped(h_system, kappa, 2, site_state(4, 0), [500.0])
         assert trace.sink_population[-1] == pytest.approx(2 / 3, abs=1e-3)
 
     _criterion(2, "trapped fraction reaches 2/3 by z = 500 cm", body)
@@ -75,7 +75,7 @@ def test_criterion_04_pair_coherence_consistency():
 
         net = two_guide_net(1.0)
         spec = Spectrum.tophat(LAMBDA0, 95.0)
-        psi0 = AmplitudeState(np.array([1.0, 1.0]) / math.sqrt(2))
+        psi0 = np.array([1.0, 1.0]) / math.sqrt(2)
         for z in np.linspace(0.5, 20.0, 10):
             ens = ensemble_average(net, spec, psi0, float(z), nodes=41)
             want = coherence_decay_pair(1.0, LAMBDA0, spec, float(z), 0.5)
@@ -92,7 +92,7 @@ def test_criterion_05_two_guide_oracle():
             db = rng.uniform(-6.0, 6.0)
             z = rng.uniform(0.0, 25.0)
             h = HamiltonianMatrix(np.array([[0.0, c], [c, db]]), LAMBDA0, 2)
-            trace = evolve_unitary(h, AmplitudeState.site(2, 0), [z])
+            trace = evolve_unitary(h, site_state(2, 0), [z])
             assert abs(trace.populations[-1, 1] - pair_transfer(c, db, z)) < 1e-10
 
     _criterion(5, "propagator matches the beat formula on 100 random pairs", body)
@@ -116,9 +116,9 @@ def test_criterion_06_effective_rate_validity(design_net_short_sink, h_system,
             f"before 10 cm")
 
         h = build_hamiltonian(net, LAMBDA0)
-        explicit = evolve_unitary(h, AmplitudeState.site(h.dimension, 0), zs)
+        explicit = evolve_unitary(h, site_state(h.dimension, 0), zs)
         effective = evolve_trapped(h_system, design_kappa, 2,
-                                   AmplitudeState.site(4, 0), zs)
+                                   site_state(4, 0), zs)
         gap = abs(explicit.sink_population[i] - effective.sink_population[i])
         assert gap <= 0.05, (
             f"explicit (21 sink guides) vs effective-rate trapped fraction "

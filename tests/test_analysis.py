@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from enaqt import decoherence
-from enaqt import (AmplitudeState, DispersionModel, HamiltonianMatrix, Spectrum,
+from enaqt import (DispersionModel, HamiltonianMatrix, Spectrum,
                    build_hamiltonian, dark_state_diagnostics, enaqt4_network, enaqt_map,
-                   ensemble_average, evolve_trapped, SweepResult, spectral_nodes,
-                   sweep_bandwidth, sweep_wavelength, tophat_gamma_closed_form,
-                   wavelength_grid)
+                   ensemble_average, evolve_trapped, SweepResult, site_state,
+                   spectral_nodes, sweep_bandwidth, sweep_wavelength,
+                   tophat_gamma_closed_form, wavelength_grid)
 from conftest import DARK_VECTOR, LAMBDA0
 
 
@@ -70,7 +70,7 @@ def test_dark_bound_matches_long_run_trapping():
         kept += 1
         h = HamiltonianMatrix(m, LAMBDA0, 4)
         report = dark_state_diagnostics(h, target=target, input_site=0)
-        trace = evolve_trapped(h, kappa, target, AmplitudeState.site(4, 0), [2000.0])
+        trace = evolve_trapped(h, kappa, target, site_state(4, 0), [2000.0])
         assert trace.sink_population[-1] == pytest.approx(report.efficiency_bound,
                                                           abs=1e-3)
 
@@ -160,7 +160,7 @@ def test_ensemble_is_weighted_sum_of_coherent_sweep(design_net):
     # tracing out the wavelength: eta_ens = sum_k w_k eta_coh(lambda_k)
     spectrum = Spectrum.tophat(LAMBDA0, 95.0)
     lams, weights = spectral_nodes(spectrum, 41)
-    psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)
+    psi0 = site_state(design_net.dimension, design_net.input_site)
     ens = ensemble_average(design_net, spectrum, psi0, 15.0, nodes=41)
     coherent = sweep_wavelength(design_net, lams, 15.0).column("efficiency")
     assert abs(ens.trapped_fraction - float(weights @ coherent)) < 1e-12
@@ -171,7 +171,7 @@ DEFAULT_BANDWIDTHS = 5.0 * np.arange(20)  # the bundled 0..95 nm grid
 
 @pytest.fixture(scope="module")
 def direct_ensembles(design_net):
-    psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)
+    psi0 = site_state(design_net.dimension, design_net.input_site)
     return np.array([
         ensemble_average(design_net, Spectrum.tophat(LAMBDA0, float(b)), psi0, 15.0,
                          nodes=41).trapped_fraction for b in DEFAULT_BANDWIDTHS])
@@ -245,8 +245,7 @@ def test_band_fit_converges_on_a_nested_subset(design_net, monkeypatch):
         return samples[-1]
 
     monkeypatch.setattr(decoherence, "coherent_efficiency", recording)
-    psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)
-    fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 20.0), psi0, 15.0)
+    fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 20.0), 15.0)
     assert [s.size for s in samples] == [65]
     assert fit.points == 33
     assert np.array_equal(fit.coeffs, decoherence._lobatto_coefficients(samples[0][::2]))
@@ -254,7 +253,7 @@ def test_band_fit_converges_on_a_nested_subset(design_net, monkeypatch):
 
 def test_band_fit_degenerate_cases(design_net):
     # zero bandwidth only: one coherent run, the reference row itself
-    psi0 = AmplitudeState.site(design_net.dimension, design_net.input_site)
+    psi0 = site_state(design_net.dimension, design_net.input_site)
     res = sweep_bandwidth(design_net, [0.0], 15.0, nodes=41, sensitivity=0.0)
     assert res.metadata["ensemble_fit"] == {"points": 1, "tail": 0.0}
     assert res.column("enaqt_ensemble")[0] == 0.0
@@ -262,7 +261,7 @@ def test_band_fit_degenerate_cases(design_net):
     assert res.column("efficiency_ensemble")[0] == pytest.approx(
         center.trapped_fraction, abs=1e-15)
     # z = 0: eta is zero to rounding everywhere, so the first size is enough
-    fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 95.0), psi0, 0.0)
+    fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 95.0), 0.0)
     assert fit.points == decoherence.FIT_FIRST_POINTS
     lams, _ = spectral_nodes(Spectrum.tophat(LAMBDA0, 95.0), 41)
     assert np.max(np.abs(fit(lams))) < 1e-14
@@ -352,5 +351,5 @@ def test_enaqt_map_structure(design_net):
     # gamma = 0 column reproduces the coherent trapped run
     h = build_hamiltonian(design_net, LAMBDA0, include_sink=False)
     kappa = result.metadata["kappa_per_cm"]
-    coherent = evolve_trapped(h, kappa, 2, AmplitudeState.site(4, 0), zs)
+    coherent = evolve_trapped(h, kappa, 2, site_state(4, 0), zs)
     assert np.max(np.abs(eta[0] - coherent.sink_population)) < 1e-6

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enaqt import (AmplitudeState, HamiltonianMatrix, effective_kappa,
+from enaqt import (HamiltonianMatrix, effective_kappa,
                    effective_trap_rate, enaqt4_network, evolve_unitary,
-                   fit_coupling_curve, pair_transfer)
+                   fit_coupling_curve, pair_transfer, site_state)
 
 
 def test_pair_transfer_full_beat():
@@ -32,7 +32,7 @@ def test_pair_transfer_domain():
 @settings(max_examples=100, deadline=None)
 def test_pair_transfer_matches_propagator(c, delta, z):
     h = HamiltonianMatrix(np.array([[0.0, c], [c, delta]]), 792.5, 2)
-    trace = evolve_unitary(h, AmplitudeState.site(2, 0), [z])
+    trace = evolve_unitary(h, site_state(2, 0), [z])
     assert trace.populations[-1, 1] == pytest.approx(pair_transfer(c, delta, z),
                                                      abs=1e-10)
 
@@ -50,6 +50,20 @@ def test_fit_requires_two_distinct_separations():
         fit_coupling_curve([(10.0, 1.0), (10.0, 1.1)])
     with pytest.raises(ValueError):
         fit_coupling_curve([(10.0, -1.0), (12.0, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_refuses_non_finite_samples(bad):
+    # NaN passes a "<= 0" check, and the fit would carry it into the curve
+    for sample in ((bad, 1.0), (12.0, bad)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_coupling_curve([(10.0, 2.0), sample, (14.0, 0.5)])
+
+
+def test_fit_refuses_an_amplitude_that_overflows():
+    # finite samples whose extrapolation to zero separation is past 1e308
+    with pytest.raises(ValueError, match="overflows"):
+        fit_coupling_curve([(1.0, 1e300), (2.0, 1e-300)])
 
 
 def test_fit_with_one_percent_noise_recovers_decay_length():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import enaqt
-from enaqt import calibration, decoherence, propagate
+from enaqt import calibration, cli, decoherence, propagate
 from enaqt.cli import main
 from enaqt.config import bundled_network_path, default_config_dict
 
@@ -400,6 +400,52 @@ def test_calibrate_rejects_single_row(tmp_path, capsys):
     csv_in = tmp_path / "one.csv"
     csv_in.write_text("10.0,2.5\n")
     assert main(["calibrate", str(csv_in)]) == 3
+
+
+CALIBRATION_ROWS = ["# pairs", "separation_um,coupling_per_cm", "10,2.8", "14,1.7", "18,1.0"]
+
+
+@pytest.mark.parametrize("bad_row, line", [
+    ("12", 4),  # one field
+    ("12,1.9,0.1", 4),  # three fields
+    ("twelve,1.9", 4),  # not a number, after the header
+    ("separation_um,coupling_per_cm", 6),  # a second header, last
+], ids=["one-field", "three-fields", "non-numeric", "second-header"])
+def test_calibrate_malformed_row_exits_2_naming_file_and_line(tmp_path, capsys,
+                                                               bad_row, line):
+    rows = list(CALIBRATION_ROWS)
+    rows.insert(line - 1, bad_row)
+    csv_in = tmp_path / "pairs.csv"
+    csv_in.write_text("\n".join(rows) + "\n")
+    assert main(["calibrate", str(csv_in)]) == 2
+    captured = capsys.readouterr()
+    assert f"{csv_in}:{line}: expected separation_um,coupling_per_cm" in captured.err
+    assert captured.out == ""
+
+
+def test_calibrate_first_row_may_be_data(tmp_path, capsys):
+    csv_in = tmp_path / "pairs.csv"
+    csv_in.write_text("\n".join(CALIBRATION_ROWS[2:]) + "\n")
+    assert main(["calibrate", str(csv_in)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["separation", "coupling"])
+def test_calibrate_non_finite_value_exits_3(tmp_path, capsys, value, column):
+    rows = list(CALIBRATION_ROWS)
+    rows[3] = f"{value},1.7" if column == "separation" else f"14,{value}"
+    csv_in = tmp_path / "pairs.csv"
+    csv_in.write_text("\n".join(rows) + "\n")
+    assert main(["calibrate", str(csv_in)]) == 3
+    captured = capsys.readouterr()
+    assert "calibration failed: separations and couplings must be positive and finite" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_check_passes_on_bundled_network(capsys):

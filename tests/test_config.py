@@ -138,6 +138,7 @@ def test_wrong_types_are_rejected():
     ("numerics", "lindblad_step_tolerance"),
     ("network.dispersion", "slopes_are_placeholders"),
     ("spectrum", "lines"),
+    ("network.dispersion", "beta0_per_cm"),
 ])
 def test_knobs_that_did_nothing_exit_2_naming_the_key(tmp_path, capsys, path, key):
     raw = default_config_dict()

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enaqt import decoherence
-from enaqt import (AmplitudeState, DispersionModel, NetworkSpec, Spectrum,
+from enaqt import (DispersionModel, NetworkSpec, Spectrum,
                    build_hamiltonian, coherence_decay_pair, coherence_time,
                    decoherence_strength, ensemble_average, evolve_unitary, g1,
-                   spectral_nodes, tophat_gamma_closed_form)
+                   site_state, spectral_nodes, tophat_gamma_closed_form)
 from conftest import LAMBDA0
 
 DESIGN_TOPHAT = Spectrum.tophat(LAMBDA0, 95.0)
@@ -162,7 +162,7 @@ def test_pair_coherence_matches_two_guide_ensemble():
     # cross-module oracle: average the explicit two-guide system over the
     # band and compare the off-diagonal against the closed form
     net = two_guide_net(1.0)
-    psi0 = AmplitudeState(np.array([1.0, 1.0]) / math.sqrt(2))
+    psi0 = np.array([1.0, 1.0]) / math.sqrt(2)
     for z in np.linspace(0.5, 20.0, 10):
         ens = ensemble_average(net, DESIGN_TOPHAT, psi0, float(z), nodes=41)
         predicted = coherence_decay_pair(1.0, LAMBDA0, DESIGN_TOPHAT, float(z), 0.5)
@@ -194,7 +194,7 @@ def test_nodes_are_the_same_bits_on_every_call(spectrum):
 
 def test_delta_ensemble_equals_single_run(design_net):
     h = build_hamiltonian(design_net, LAMBDA0)
-    psi0 = AmplitudeState.site(h.dimension, 0)
+    psi0 = site_state(h.dimension, 0)
     single = evolve_unitary(h, psi0, [15.0])
     ens = ensemble_average(design_net, Spectrum.tophat(LAMBDA0, 0.0), psi0, 15.0)
     assert ens.node_count == 1
@@ -203,7 +203,7 @@ def test_delta_ensemble_equals_single_run(design_net):
 
 
 def test_ensemble_density_is_physical(design_net):
-    psi0 = AmplitudeState.site(design_net.dimension, 0)
+    psi0 = site_state(design_net.dimension, 0)
     ens = ensemble_average(design_net, DESIGN_TOPHAT, psi0, 15.0)
     rho = ens.averaged_density
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -220,7 +220,7 @@ def test_ensemble_rejects_unnormalised_state(design_net):
 
 
 def test_ensemble_quadrature_convergence(design_net):
-    psi0 = AmplitudeState.site(design_net.dimension, 0)
+    psi0 = site_state(design_net.dimension, 0)
     sink = {}
     for nodes in (41, 81):
         ens = ensemble_average(design_net, DESIGN_TOPHAT, psi0, 15.0, nodes=nodes)
@@ -229,7 +229,7 @@ def test_ensemble_quadrature_convergence(design_net):
 
 
 def test_ensemble_purity_non_increasing_in_bandwidth(design_net):
-    psi0 = AmplitudeState.site(design_net.dimension, 0)
+    psi0 = site_state(design_net.dimension, 0)
     purities = []
     for dl in (0.0, 15.0, 35.0, 60.0, 95.0):
         spec = Spectrum.tophat(LAMBDA0, dl)

@@ -9,10 +9,10 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enaqt import (AmplitudeState, DensityState, DispersionModel, HamiltonianMatrix,
-                   NetworkSpec, SinkSpec, build_hamiltonian, bundled_network_path,
-                   enaqt4_network, evolve_lindblad, evolve_trapped, evolve_unitary,
-                   parse_config, sink_no_return_check, tophat_gamma_closed_form,
+from enaqt import (DispersionModel, HamiltonianMatrix, NetworkSpec, SinkSpec,
+                   build_hamiltonian, bundled_network_path, enaqt4_network,
+                   evolve_lindblad, evolve_trapped, evolve_unitary, parse_config,
+                   sink_no_return_check, site_state, tophat_gamma_closed_form,
                    wavelength_grid)
 from enaqt import analysis, propagate
 from enaqt.lattice import DETUNING_LAWS
@@ -24,27 +24,23 @@ from conftest import DARK_VECTOR, LAMBDA0
 ZS = np.arange(0.0, 15.0 + 1e-9, 0.1)
 
 
-def _site(dim, k):
-    return AmplitudeState.site(dim, k)
-
-
 # ---------------------------------------------------------------------------
 # unitary engine
 
 def test_single_guide_is_phase_only():
     h = HamiltonianMatrix(np.array([[3.7]]), LAMBDA0, 1)
-    trace = evolve_unitary(h, _site(1, 0), [10.0])
+    trace = evolve_unitary(h, site_state(1, 0), [10.0])
     assert trace.populations[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_guide_beat():
     h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LAMBDA0, 2)
-    trace = evolve_unitary(h, _site(2, 0), [math.pi / 4])
+    trace = evolve_unitary(h, site_state(2, 0), [math.pi / 4])
     assert trace.populations[-1] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_dark_initial_state_is_stationary(h_system):
-    trace = evolve_unitary(h_system, AmplitudeState(DARK_VECTOR.astype(complex)), ZS)
+    trace = evolve_unitary(h_system, DARK_VECTOR, ZS)
     expected = np.array([1 / 3, 1 / 3, 0.0, 1 / 3])
     assert np.max(np.abs(trace.populations - expected)) < 1e-12
 
@@ -56,7 +52,7 @@ def test_unitary_norm_conservation_random_h(seed):
     m = rng.uniform(-2.0, 2.0, size=(12, 12))
     h = HamiltonianMatrix((m + m.T) / 2, LAMBDA0, 12)
     psi0 = rng.normal(size=12) + 1j * rng.normal(size=12)
-    psi0 = AmplitudeState(psi0 / np.linalg.norm(psi0))
+    psi0 = psi0 / np.linalg.norm(psi0)
     trace = evolve_unitary(h, psi0, np.linspace(0.0, 100.0, 11))
     totals = trace.populations.sum(axis=1)
     assert np.max(np.abs(totals - 1.0)) < 1e-10
@@ -64,7 +60,7 @@ def test_unitary_norm_conservation_random_h(seed):
 
 def test_population_bookkeeping_explicit_sink(design_net):
     h = build_hamiltonian(design_net, LAMBDA0)
-    trace = evolve_unitary(h, _site(h.dimension, 0), ZS)
+    trace = evolve_unitary(h, site_state(h.dimension, 0), ZS)
     # system + trapped account for everything
     assert np.max(np.abs(trace.populations.sum(axis=1)
                          + trace.sink_population - 1.0)) < 1e-6
@@ -84,10 +80,10 @@ NAN_VECTOR = np.array([np.nan, 0.0, 0.0, 0.0])
     lambda h, kappa: evolve_trapped(h, kappa, 2, NAN_VECTOR, [1.0]),
     lambda h, kappa: evolve_lindblad(h, kappa, 2, 0.1, 3, NAN_VECTOR, [1.0]),
     lambda h, kappa: evolve_lindblad(h, kappa, 2, 0.1, 3, np.diag(NAN_VECTOR), [1.0]),
-    lambda h, kappa: AmplitudeState(NAN_VECTOR),
-    lambda h, kappa: DensityState(np.diag([np.inf, 0.0, 0.0, 0.0])),
+    lambda h, kappa: evolve_lindblad(h, kappa, 2, 0.1, 3, np.diag([np.inf, 0.0, 0.0, 0.0]),
+                                     [1.0]),
 ], ids=["evolve_unitary", "evolve_trapped", "evolve_lindblad-vector",
-        "evolve_lindblad-matrix", "AmplitudeState", "DensityState"])
+        "evolve_lindblad-matrix", "evolve_lindblad-inf-matrix"])
 def test_non_finite_initial_state_is_refused(h_system, design_kappa, run):
     # NaN passes every norm and trace bound; it must be refused by name
     with pytest.raises(ValueError, match="finite"):
@@ -99,37 +95,36 @@ def test_non_finite_initial_state_is_refused(h_system, design_kappa, run):
 
 def test_pure_decay_single_site():
     h = HamiltonianMatrix(np.array([[0.0]]), LAMBDA0, 1)
-    trace = evolve_trapped(h, 1.0, 0, _site(1, 0), [3.0])
+    trace = evolve_trapped(h, 1.0, 0, site_state(1, 0), [3.0])
     assert trace.populations[-1, 0] == pytest.approx(math.exp(-3.0), rel=1e-10)
 
 
 def test_zero_kappa_matches_unitary(h_system):
-    psi0 = _site(4, 0)
+    psi0 = site_state(4, 0)
     free = evolve_unitary(h_system, psi0, ZS)
     trapped = evolve_trapped(h_system, 0.0, 2, psi0, ZS)
     assert np.max(np.abs(free.populations - trapped.populations)) < 1e-12
 
 
 def test_asymptotic_sink_population(h_system, design_kappa):
-    trace = evolve_trapped(h_system, design_kappa, 2, _site(4, 0), [500.0])
+    trace = evolve_trapped(h_system, design_kappa, 2, site_state(4, 0), [500.0])
     assert trace.sink_population[-1] == pytest.approx(2 / 3, abs=1e-3)
 
 
 def test_trapped_norm_non_increasing(h_system, design_kappa):
-    trace = evolve_trapped(h_system, design_kappa, 2, _site(4, 0), ZS)
+    trace = evolve_trapped(h_system, design_kappa, 2, site_state(4, 0), ZS)
     survival = trace.populations.sum(axis=1)
     assert np.all(np.diff(survival) <= 1e-12)
 
 
 def test_dark_state_never_trapped(h_system, design_kappa):
-    trace = evolve_trapped(h_system, design_kappa, 2,
-                           AmplitudeState(DARK_VECTOR.astype(complex)), ZS)
+    trace = evolve_trapped(h_system, design_kappa, 2, DARK_VECTOR, ZS)
     assert np.max(trace.sink_population) < 1e-9
 
 
 def test_trapped_rejects_negative_kappa(h_system):
     with pytest.raises(ValueError):
-        evolve_trapped(h_system, -0.1, 2, _site(4, 0), [1.0])
+        evolve_trapped(h_system, -0.1, 2, site_state(4, 0), [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -137,30 +132,52 @@ def test_trapped_rejects_negative_kappa(h_system):
 
 def test_lindblad_closed_limit_matches_trapped(h_system, design_kappa):
     zs = np.linspace(0.0, 15.0, 16)
-    psi0 = _site(4, 0)
+    psi0 = site_state(4, 0)
     trapped = evolve_trapped(h_system, design_kappa, 2, psi0, zs)
     lind = evolve_lindblad(h_system, design_kappa, 2, 0.0, 3,
-                           DensityState.pure(psi0), zs)
+                           np.outer(psi0, psi0.conj()), zs)
     assert np.max(np.abs(trapped.populations - lind.populations)) < 1e-6
 
 
-@pytest.mark.parametrize("state", [_site(4, 0), _site(4, 0).amplitudes,
-                                   DensityState.pure(_site(4, 0))],
-                         ids=["AmplitudeState", "vector", "DensityState"])
+@pytest.mark.parametrize("state", [site_state(4, 0), np.diag([1.0, 0.0, 0.0, 0.0])],
+                         ids=["vector", "matrix"])
 def test_lindblad_accepts_every_initial_state_form(h_system, design_kappa, state):
     zs = [0.0, 2.0, 5.0]
-    want = evolve_trapped(h_system, design_kappa, 2, _site(4, 0), zs)
+    want = evolve_trapped(h_system, design_kappa, 2, site_state(4, 0), zs)
     got = evolve_lindblad(h_system, design_kappa, 2, 0.0, 3, state, zs)
     assert np.max(np.abs(got.populations - want.populations)) < 1e-12
 
 
 @pytest.mark.parametrize("state", [np.array([0.5, 0.0, 0.0, 0.0]),
-                                   np.diag([0.5, 0.0, 0.0, 0.0]),
-                                   DensityState(np.diag([0.5, 0.0, 0.0, 0.0]))],
-                         ids=["vector", "matrix", "DensityState"])
+                                   np.diag([0.5, 0.0, 0.0, 0.0])],
+                         ids=["vector", "matrix"])
 def test_lindblad_rejects_initial_trace_other_than_one(h_system, state):
     with pytest.raises(ValueError, match="unit trace"):
         evolve_lindblad(h_system, 1.0, 2, 0.0, 3, state, [1.0])
+
+
+def _unit_trace_matrix(top_left):
+    rho = np.zeros((4, 4))
+    rho[:2, :2] = top_left
+    return rho
+
+
+@pytest.mark.parametrize("state, message", [
+    (_unit_trace_matrix([[0.5, 1e-11], [0.0, 0.5]]), "not Hermitian"),
+    (_unit_trace_matrix([[0.5, 0.9], [0.9, 0.5]]), "eigenvalue -4.000e-01"),
+    (_unit_trace_matrix([[1.0 + 1e-8, 0.0], [0.0, -1e-8]]), "eigenvalue -1.000e-08"),
+], ids=["hermiticity-error-1e-11", "negative-eigenvalue", "eigenvalue-minus-1e-8"])
+def test_lindblad_refuses_an_unphysical_initial_density(h_system, state, message):
+    # an input fault, not an engine failure: ValueError before any step
+    with pytest.raises(ValueError, match=message):
+        evolve_lindblad(h_system, 1.0, 2, 0.0, 3, state, [1.0])
+
+
+def test_lindblad_accepts_an_initial_density_within_rounding(h_system, design_kappa):
+    # errors at the bounds' scale of rounding, not of physics, pass
+    rho0 = _unit_trace_matrix([[1.0 + 1e-10, 1e-13], [0.0, -1e-10]])
+    trace = evolve_lindblad(h_system, design_kappa, 2, 0.0, 3, rho0, [0.0, 1.0])
+    assert trace.densities[0][0, 1] == 1e-13
 
 
 def test_lindblad_pure_coherence_decay():
@@ -174,14 +191,15 @@ def test_lindblad_pure_coherence_decay():
 
 
 def test_lindblad_dephasing_increases_trapping(h_system, design_kappa):
-    rho0 = DensityState.pure(_site(4, 0))
+    rho0 = site_state(4, 0)
     quiet = evolve_lindblad(h_system, design_kappa, 2, 0.0, 3, rho0, [0.0, 15.0])
     noisy = evolve_lindblad(h_system, design_kappa, 2, 0.02, 3, rho0, [0.0, 15.0])
     assert noisy.sink_population[-1] > quiet.sink_population[-1]
 
 
 def test_lindblad_state_stays_physical(h_system, design_kappa):
-    rho0 = DensityState.pure(_site(4, 0))
+    psi0 = site_state(4, 0)
+    rho0 = np.outer(psi0, psi0.conj())
     trace = evolve_lindblad(h_system, design_kappa, 2, 0.01, 3, rho0,
                             np.linspace(0.0, 15.0, 31))
     for rho in trace.densities:
@@ -541,8 +559,8 @@ def test_effective_rate_tracks_explicit_efficiency(design_kappa, h_system):
     # (the chain has memory), so only the efficiency is asserted tightly.
     net = enaqt4_network()  # 90 sink guides: no end reflection within 15 cm
     h = build_hamiltonian(net, LAMBDA0)
-    explicit = evolve_unitary(h, _site(h.dimension, 0), ZS)
-    effective = evolve_trapped(h_system, design_kappa, 2, _site(4, 0), ZS)
+    explicit = evolve_unitary(h, site_state(h.dimension, 0), ZS)
+    effective = evolve_trapped(h_system, design_kappa, 2, site_state(4, 0), ZS)
     eta_gap = np.abs(explicit.sink_population - effective.sink_population)
     assert eta_gap[-1] < 5e-3
     assert np.max(eta_gap) < 0.1
@@ -590,7 +608,7 @@ def bundled_sweep():
     net, exp = config.network, config.experiment
     lams = wavelength_grid(net.dispersion.lambda0_nm, exp.wavelength_min_nm,
                            exp.wavelength_max_nm, exp.wavelength_step_nm)
-    amps = _site(net.dimension, net.input_site).amplitudes
+    amps = site_state(net.dimension, net.input_site)
     return net, lams, exp.z_cm, amps, _eigh_rows(net, lams, amps, exp.z_cm)
 
 
@@ -652,7 +670,6 @@ def dispersive_networks(draw):
     detuned = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
     detunings = tuple((s, draw(st.floats(-2.0, 2.0).filter(bool))) for s in detuned)
     dispersion = DispersionModel(
-        beta0_per_cm=draw(st.floats(-3.0, 3.0).filter(bool)),
         detuning_law=draw(st.sampled_from(DETUNING_LAWS)),
         coupling_slope_per_nm=draw(st.floats(-0.01, 0.01)))
     sink = None
@@ -675,7 +692,7 @@ def test_wavelength_amplitudes_match_eigh_random_networks(net, z, complex_state,
     if complex_state:
         amps = np.exp(1j * np.arange(net.dimension)) / math.sqrt(net.dimension)
     else:
-        amps = _site(net.dimension, net.input_site).amplitudes
+        amps = site_state(net.dimension, net.input_site)
     rows = data.draw(st.sampled_from([None, *range(1, net.n_sites + 1)]), label="rows")
     got = _wavelength_amplitudes(net, lams, amps, z, rows)
     want = _eigh_rows(net, lams, amps, z)[:, :rows]
@@ -686,7 +703,7 @@ def test_wavelength_amplitudes_match_eigh_random_networks(net, z, complex_state,
 def test_wavelength_amplitudes_exact_without_spread(bundled_sweep):
     net, lams, _, amps, _ = bundled_sweep
     single = NetworkSpec(n_sites=1, site_detunings=((0, 0.7),),
-                         dispersion=DispersionModel(beta0_per_cm=2.5))
+                         dispersion=DispersionModel())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # z = 0: the identity at every wavelength
@@ -700,7 +717,7 @@ def test_wavelength_amplitudes_exact_without_spread(bundled_sweep):
 
 
 def test_wavelength_amplitudes_reject_negative_z(design_net):
-    amps = _site(design_net.dimension, 0).amplitudes
+    amps = site_state(design_net.dimension, 0)
     with pytest.raises(ValueError, match="non-negative"):
         _wavelength_amplitudes(design_net, [LAMBDA0], amps, -1.0)
 
@@ -738,19 +755,30 @@ def test_bessel_j_rescales_a_tiny_argument():
 
 
 # ---------------------------------------------------------------------------
-# state containers
+# start states
 
 def test_amplitude_state_validation():
-    with pytest.raises(ValueError):
-        AmplitudeState(np.array([1.0, 1.0]))
-    state = AmplitudeState.site(3, 1)
-    assert state.amplitudes[1] == 1.0
+    h = HamiltonianMatrix(np.zeros((3, 3)), LAMBDA0, 3)
+    with pytest.raises(ValueError, match="normalized"):
+        evolve_unitary(h, np.array([1.0, 1.0, 0.0]), [1.0])
+    with pytest.raises(ValueError, match="shape"):
+        evolve_unitary(h, np.eye(3), [1.0])
+    # site_state is complex, as the eigh route needs for its bits
+    state = site_state(3, 1)
+    assert state.dtype == complex
+    assert np.array_equal(state, [0.0, 1.0, 0.0])
+    for site in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            site_state(3, site)
 
 
 def test_density_state_validation():
-    with pytest.raises(ValueError):
-        DensityState(np.array([[0.5, 0.9], [0.1, 0.5]]))  # not hermitian
-    with pytest.raises(ValueError):
-        DensityState(np.array([[1.5, 0.0], [0.0, 0.0]]))  # trace > 1
-    rho = DensityState.pure(AmplitudeState.site(2, 0))
-    assert rho.matrix[0, 0] == 1.0
+    h = HamiltonianMatrix(np.zeros((2, 2)), LAMBDA0, 2)
+    for rho0, message in [(np.array([[0.5, 0.9], [0.1, 0.5]]), "not Hermitian"),
+                          (np.array([[1.5, 0.0], [0.0, 0.0]]), "unit trace"),
+                          (np.eye(3) / 3.0, "shape")]:
+        with pytest.raises(ValueError, match=message):
+            evolve_lindblad(h, 0.0, 0, 0.0, 1, rho0, [1.0])
+    psi0 = site_state(2, 0)
+    trace = evolve_lindblad(h, 0.0, 0, 0.0, 1, np.outer(psi0, psi0.conj()), [0.0])
+    assert np.array_equal(trace.densities[0], [[1.0, 0.0], [0.0, 0.0]])
