@@ -21,7 +21,6 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ._version import __version__ as _version
 from .calibration import effective_trap_rate
 from .decoherence import (Spectrum, band_fit, coherent_efficiency, decoherence_strength,
                           spectral_nodes)
@@ -87,7 +86,6 @@ def dark_state_diagnostics(h: HamiltonianMatrix, target: int,
 class SweepResult:
     """Flat table of sweep output: parallel columns plus run metadata."""
 
-    kind: str
     columns: Dict[str, np.ndarray]
     metadata: Dict
 
@@ -137,9 +135,7 @@ def _relative_enhancement(etas, base) -> np.ndarray:
 
 
 def _base_metadata(net: NetworkSpec, **extra) -> Dict:
-    md = {"network_sha": network_fingerprint(net), "engine_version": _version}
-    md.update(extra)
-    return md
+    return {"network_sha": network_fingerprint(net), **extra}
 
 
 def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
@@ -174,7 +170,6 @@ def sweep_wavelength(net: NetworkSpec, wavelengths_nm: Sequence[float],
     lams = np.asarray(wavelengths_nm, dtype=float)
     etas = coherent_efficiency(net, lams, z_cm)
     return SweepResult(
-        kind="wavelength-sweep",
         columns={"wavelength_nm": lams, "efficiency": etas},
         metadata=_base_metadata(net, z_cm=z_cm),
     )
@@ -229,7 +224,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
         points, rows = np.concatenate(([0.0], bws)), slice(1, None)
     ref = int(np.argmax(points == 0.0))
     gammas = np.array([
-        decoherence_strength(Spectrum.tophat(lam0, float(b)), delta_beta, lam0)
+        decoherence_strength(Spectrum.tophat(lam0, float(b)), delta_beta)
         if b else 0.0 for b in points])
 
     def enhancement(etas: np.ndarray) -> np.ndarray:
@@ -277,7 +272,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
             "min_efficiency_uncertainty": 0.002,
         },
     )
-    return SweepResult(kind="bandwidth-sweep", columns=columns, metadata=md)
+    return SweepResult(columns=columns, metadata=md)
 
 
 def _scale_detuning(net: NetworkSpec, scale: float) -> NetworkSpec:
@@ -325,7 +320,6 @@ def enaqt_map(net: NetworkSpec, z_grid: Sequence[float],
 
     gg, zz = np.meshgrid(gammas, zs, indexing="ij")
     return SweepResult(
-        kind="enaqt-map",
         columns={
             "gamma_per_cm": gg.ravel(),
             "z_cm": zz.ravel(),

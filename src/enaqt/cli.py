@@ -123,8 +123,7 @@ def _cmd_simulate(args) -> int:
                                            zs)
         columns["sink_fraction_effective_rate"] = trapped.sink_population
 
-    result = analysis.SweepResult(kind="dynamics", columns=columns,
-                                  metadata={"wavelength_nm": lam0})
+    result = analysis.SweepResult(columns=columns, metadata={"wavelength_nm": lam0})
     return _emit(args, config, raw, started, result, "dynamics.csv", "simulate")
 
 
@@ -255,11 +254,11 @@ def _cmd_check(args) -> int:
     spec_ref = decoherence.Spectrum.tophat(lam0, 95.0)
     db = net.dispersion.detuning0_per_cm
     if db > 0:
-        got = decoherence.decoherence_strength(spec_ref, db, lam0)
+        got = decoherence.decoherence_strength(spec_ref, db)
         want = decoherence.tophat_gamma_closed_form(db, 95.0, lam0)
         rel = abs(got - want) / want
         report("decoherence strength closed form (self-test)", rel < 1e-6,
-               f"quadrature {got:.8f} vs closed form {want:.8f} (rel {rel:.1e})")
+               f"coherence length {got:.8f} vs closed form {want:.8f} (rel {rel:.1e})")
     else:
         print("[skip] decoherence strength: network has no reference detuning")
 

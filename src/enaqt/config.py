@@ -76,6 +76,18 @@ class NumericsConfig:
         if self.ensemble_nodes < 1:
             raise ConfigError("numerics.ensemble_nodes",
                               f"must be >= 1, got {self.ensemble_nodes}")
+        # a dark mode has overlap below the threshold, so 1 or more makes
+        # every mode dark
+        if not 0 < self.dark_overlap_threshold < 1:
+            raise ConfigError("numerics.dark_overlap_threshold",
+                              f"must be in (0, 1), got {self.dark_overlap_threshold}")
+        if not self.no_return_threshold > 0:
+            raise ConfigError("numerics.no_return_threshold",
+                              f"must be positive, got {self.no_return_threshold}")
+        # the sensitivity runs scale the detuning by 1 -+ the fraction
+        if not 0 <= self.sensitivity_fraction < 1:
+            raise ConfigError("numerics.sensitivity_fraction",
+                              f"must be in [0, 1), got {self.sensitivity_fraction}")
 
 
 @dataclass(frozen=True)
@@ -244,6 +256,7 @@ def config_from_dict(raw: Dict) -> RunConfig:
     )
     _check_grids(config)
     _check_bands(config)
+    _check_sink(config)
     return config
 
 
@@ -282,6 +295,17 @@ def _check_bands(config: RunConfig) -> None:
                 reach = (f"{edge:.6g} nm, where the coupling scale is not finite"
                          if math.isfinite(edge) else "zero frequency")
                 raise ConfigError(key, f"the band reaches {reach}; narrow the band")
+
+
+def _check_sink(config: RunConfig) -> None:
+    """Reject a sink chain that traps at no finite rate: the effective rate
+    of the runs that use one diverges as c_trap nears c_sink.  ``SinkSpec``
+    itself allows it, since the coherent engines propagate any chain."""
+    sink = config.network.sink
+    if sink is not None and sink.c_trap_per_cm >= sink.c_sink_per_cm:
+        raise ConfigError("network.sink.c_trap_per_cm",
+                          f"must be below c_sink_per_cm ({sink.c_sink_per_cm}), "
+                          f"got {sink.c_trap_per_cm}")
 
 
 def read_config_document(path):

@@ -3,10 +3,11 @@
 Broadband illumination decoheres a waveguide network without any physical
 noise: each wavelength propagates coherently, but a wavelength-blind
 intensity measurement traces the wavelength out, leaving a mixed state.
-This module quantifies that mechanism (g1 envelope, decoherence strength
-gamma as the inverse optical coherence length) and implements the ensemble
-average itself, directly (``ensemble_average``) or through one Chebyshev
-fit of the coherent efficiency over a band (``band_fit``).
+This module quantifies that mechanism (the g1 envelope and the decoherence
+strength gamma, the inverse optical coherence length, both in closed form)
+and implements the ensemble average itself, directly (``ensemble_average``)
+or through one Chebyshev fit of the coherent efficiency over a band
+(``band_fit``).
 
 Unit bookkeeping is the hazard here.  Rates and propagation constants are
 cm^-1, distances cm, wavelengths nm at the interface; delays tau are in
@@ -22,7 +23,9 @@ angular frequency.  Either shape at zero width is monochromatic light.
 Defining the band in frequency rather than wavelength keeps the
 sinc/Gaussian envelopes and the closed form gamma = db*dl/(2 pi lambda0)
 exact at any fractional bandwidth (the two conventions differ only at
-second order in dl/lambda0).
+second order in dl/lambda0).  The coherence time, the integral of |g1|^2
+over all delays, is then 2 pi/dw for the tophat and sqrt(pi)/sigma for
+the gaussian of rms width sigma.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -155,73 +158,38 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_blocks(f, a: float, b: float, n_blocks: int, order: int = 24) -> float:
-    """Composite Gauss-Legendre quadrature with fixed blocks (deterministic)."""
-    x, w = _leggauss(order)
-    edges = np.linspace(a, b, n_blocks + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        total += 0.5 * (hi - lo) * float(np.sum(w * f(u)))
-    return total
-
-
-@functools.cache
-def _sinc2_half_line() -> float:
-    """Integral of sinc^2(u) over [0, inf), computed once per process.
-
-    Quadrature to 200 cycles plus the asymptotic sinc^2 tail (~1e-12
-    relative); not pi/2, so the closed-form check on gamma can still fail.
-    """
-    big_t = 200.0 * math.pi
-    # no Gauss-Legendre node lies at u = 0
-    core = _gauss_blocks(lambda u: (np.sin(u) / u) ** 2, 0.0, big_t, 200)
-    s2, c2 = math.sin(2 * big_t), math.cos(2 * big_t)
-    tail = (1.0 / (2 * big_t) + s2 / (4 * big_t ** 2)
-            - c2 / (4 * big_t ** 3) - 3 * s2 / (8 * big_t ** 4))
-    return core + tail
-
-
 def coherence_time(spectrum: Spectrum) -> float:
-    """Coherence time integral of |g1|^2 over all delays (seconds).
+    """Coherence time: the integral of |g1|^2 over all delays (seconds).
 
-    Computed by quadrature of the squared envelope.  The tophat envelope
-    decays only as 1/tau; in units u = dw*tau/2 its integral does not
-    depend on the width, so it is evaluated once (``_sinc2_half_line``)
-    and rescaled.  Monochromatic light never loses coherence: the integral
-    diverges and inf is returned.
+    Closed form for both shapes: the tophat's sinc^2(dw tau / 2) integrates
+    to 2 pi / dw, the gaussian's exp(-(sigma tau)^2) to sqrt(pi) / sigma.
+    Monochromatic light never loses coherence: the integral diverges and
+    inf is returned.
     """
     if spectrum.is_monochromatic:
         return math.inf
     if spectrum.shape == "gaussian":
-        sigma = spectrum.angular_width * _FWHM_TO_SIGMA
-        # |g1|^2 = exp(-(sigma tau)^2), negligible past 8/sigma
-        val = _gauss_blocks(lambda t: np.exp(-(sigma * t) ** 2), 0.0, 8.0 / sigma, 32)
-        return 2.0 * val
-    # tophat: |g1|^2 = sinc^2(u) with u = dw*tau/2
-    return 2.0 * (2.0 / spectrum.angular_width) * _sinc2_half_line()
+        return math.sqrt(math.pi) / (spectrum.angular_width * _FWHM_TO_SIGMA)
+    return 2.0 * math.pi / spectrum.angular_width
 
 
-def decoherence_strength(spectrum: Spectrum, delta_beta: float,
-                         lambda0_nm: Optional[float] = None) -> float:
+def decoherence_strength(spectrum: Spectrum, delta_beta: float) -> float:
     """Decoherence strength gamma in cm^-1: the inverse coherence length.
 
-    gamma = [ (2 pi c / (delta_beta * lambda0)) * integral |g1|^2 dtau ]^-1
-    with the integral evaluated by quadrature.  For a tophat this equals
-    the closed form delta_beta * fwhm / (2 pi lambda0) to quadrature
-    accuracy.  Monochromatic light has infinite coherence length, so the
+    gamma = [ (2 pi c / (delta_beta * lambda0)) * coherence_time ]^-1 with
+    lambda0 the spectrum's center.  This route runs through c, nm -> cm and
+    the angular width; for a tophat it must land on the direct closed form
+    ``tophat_gamma_closed_form``, delta_beta * fwhm / (2 pi lambda0), to
+    rounding.  Monochromatic light has infinite coherence length, so the
     strength is exactly 0.
     """
     if delta_beta <= 0:
         raise ValueError(f"delta_beta must be positive, got {delta_beta}")
-    lam0 = spectrum.center_nm if lambda0_nm is None else lambda0_nm
-    if lam0 <= 0:
-        raise ValueError(f"lambda0_nm must be positive, got {lam0}")
     tau_c = coherence_time(spectrum)
     if math.isinf(tau_c):
         return 0.0
     coherence_length_cm = (2.0 * math.pi * C_LIGHT_CM_PER_S
-                           / (delta_beta * nm_to_cm(lam0))) * tau_c
+                           / (delta_beta * nm_to_cm(spectrum.center_nm))) * tau_c
     return 1.0 / coherence_length_cm
 
 

@@ -57,16 +57,16 @@ def test_criterion_02_asymptotic_efficiency(h_system):
 def test_criterion_03_gamma_closed_form():
     def body():
         spec = Spectrum.tophat(792.5, 95.0)
-        gamma = decoherence_strength(spec, 1.0, 792.5)
+        gamma = decoherence_strength(spec, 1.0)
         closed = tophat_gamma_closed_form(1.0, 95.0, 792.5)
-        # quadrature against the exact closed form at the stated 1e-6
+        # coherence length against the exact closed form at the stated 1e-6
         # relative; the 5-digit quote 0.019077 is checked at its own
         # rounding precision (the closed form is 0.0190785...)
         assert gamma == pytest.approx(closed, rel=1e-6)
         assert gamma == pytest.approx(0.019077, abs=2e-6)
         assert gamma == pytest.approx(0.02, rel=0.05)
 
-    _criterion(3, "decoherence strength 0.019077 /cm from quadrature", body)
+    _criterion(3, "decoherence strength 0.019077 /cm from the coherence length", body)
 
 
 def test_criterion_04_pair_coherence_consistency():

@@ -286,7 +286,7 @@ def test_enhancements_are_zero_at_zero_length(design_net):
 def test_write_csv_pins_its_bytes(tmp_path):
     # integer columns print as floats; -0.0, 1e-300 and rounding-prone values
     # keep their shortest round-trip repr
-    result = SweepResult(kind="t", metadata={}, columns={
+    result = SweepResult(metadata={}, columns={
         "n": np.array([3, -2, 0]),
         "x_cm": np.array([-0.0, 1e-300, 0.1 + 0.2]),
         "y": [1.5, -7, 2.5e16],
@@ -313,7 +313,7 @@ def _csv_module_reference(result, path):
 @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
 def test_write_csv_matches_the_csv_module(rows, tmp_path):
     values = np.array([-0.0, 0.0, 5e-324, 1e-300, 3.0, 1e16, np.nan, np.inf, -np.inf])
-    result = SweepResult(kind="t", metadata={}, columns={
+    result = SweepResult(metadata={}, columns={
         "a": np.resize(values, rows),
         "b_cm": np.resize(values[::-1], rows),
         "n": np.arange(rows),

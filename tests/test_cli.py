@@ -285,6 +285,23 @@ def test_non_finite_detuning_exits_2_naming_the_key(tmp_path, capsys, command, v
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-wavelength", "sweep-bandwidth",
+                                     "map", "check"])
+@pytest.mark.parametrize("c_trap", [1.75, 2.0])
+def test_trap_coupling_not_below_sink_coupling_exits_2(tmp_path, capsys, command, c_trap):
+    # the effective trapping rate diverges as c_trap reaches c_sink = 1.75
+    raw = default_config_dict()
+    raw["network"]["sink"]["c_trap_per_cm"] = c_trap
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(p), "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: network.sink.c_trap_per_cm: must be below" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep-bandwidth", "map"])
 def test_trapping_commands_without_a_sink_exit_2(tmp_path, capsys, command):
     # both take their trapping rate from the sink chain

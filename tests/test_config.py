@@ -192,6 +192,14 @@ def test_bundled_values_are_the_dataclass_defaults(stripped):
     ("experiment", "z_step_cm", 0),
     ("experiment", "gamma_max_per_cm", -1),
     ("numerics", "ensemble_nodes", 0),
+    ("numerics", "sensitivity_fraction", 1.5),
+    ("numerics", "sensitivity_fraction", -2.0),
+    ("numerics", "sensitivity_fraction", -0.5),
+    ("numerics", "sensitivity_fraction", 1.0),
+    ("numerics", "no_return_threshold", -1.0),
+    ("numerics", "no_return_threshold", 0.0),
+    ("numerics", "dark_overlap_threshold", 2.0),
+    ("numerics", "dark_overlap_threshold", 0.0),
     ("spectrum", "center_nm", 0),
     ("spectrum", "shape", "delta"),
     ("spectrum", "shape", "discrete"),
