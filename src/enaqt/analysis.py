@@ -15,27 +15,28 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .calibration import effective_trap_rate
+from .config import ConfigError, NumericsConfig, wavelength_grid  # grid rule, re-exported
 from .decoherence import (Spectrum, band_fit, coherent_efficiency, decoherence_strength,
                           spectral_nodes)
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
 from .propagate import _eigh, _lindblad_runs, site_state
 
-DARK_OVERLAP_THRESHOLD = 1e-12
 # reference efficiencies below this have trapped nothing yet but rounding
 ENHANCEMENT_FLOOR = 1e-15
 
 
 def effective_kappa(net: NetworkSpec) -> float:
-    """Trapping rate equivalent to the network's explicit sink chain."""
+    """Trapping rate equivalent to the network's explicit sink chain; a
+    network without one is a config error, which the CLI exits 2 on."""
     if net.sink is None:
-        raise ValueError("no sink on the network")
+        raise ConfigError("network.sink", "the trapping rate comes from the sink chain; "
+                                          "the network has none")
     return effective_trap_rate(net.sink.c_trap_per_cm / net.sink.c_sink_per_cm,
                                net.sink.c_sink_per_cm)
 
@@ -57,14 +58,17 @@ class DarkStateReport:
 
 def dark_state_diagnostics(h: HamiltonianMatrix, target: int,
                            input_site: int = 0,
-                           threshold: float = DARK_OVERLAP_THRESHOLD) -> DarkStateReport:
+                           threshold: float = NumericsConfig.dark_overlap_threshold
+                           ) -> DarkStateReport:
     """Find eigenmodes with no amplitude on the target site.
 
     A mode that never touches the target can never be trapped, so the
     trapping efficiency at infinite propagation is capped at
     1 - sum_dark |<mode|input>|^2.  Operates on the system block only;
-    pass a Hamiltonian without a sink chain.
+    pass a Hamiltonian without a sink chain.  ``threshold`` is
+    ``numerics.dark_overlap_threshold`` and is refused outside its range.
     """
+    NumericsConfig(dark_overlap_threshold=threshold)
     if h.has_sink:
         raise ValueError("diagnostics expect the system block only; strip the sink first")
     if not 0 <= target < h.dimension or not 0 <= input_site < h.dimension:
@@ -138,24 +142,6 @@ def _base_metadata(net: NetworkSpec, **extra) -> Dict:
     return {"network_sha": network_fingerprint(net), **extra}
 
 
-def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
-                    step_nm: float) -> np.ndarray:
-    """Uniform grid anchored so that lambda0 is exactly on it.
-
-    This is the CLI's one grid rule, for z, bandwidth and gamma (anchored
-    at 0) as well as wavelength: it never passes ``max_nm`` by more than
-    1e-12 of a step, so a range that is no whole number of steps stops at
-    its last whole step.
-    """
-    if step_nm <= 0:
-        raise ValueError(f"step must be positive, got {step_nm}")
-    k_lo = math.ceil((min_nm - lambda0_nm) / step_nm - 1e-12)
-    k_hi = math.floor((max_nm - lambda0_nm) / step_nm + 1e-12)
-    if k_hi < k_lo:
-        raise ValueError("empty wavelength grid")
-    return lambda0_nm + step_nm * np.arange(k_lo, k_hi + 1)
-
-
 def sweep_wavelength(net: NetworkSpec, wavelengths_nm: Sequence[float],
                      z_cm: float) -> SweepResult:
     """Coherent transport efficiency versus illumination wavelength.
@@ -184,7 +170,8 @@ def dephasing_site(net: NetworkSpec) -> int:
 
 
 def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: float,
-                    nodes: int = 41, sensitivity: float = 0.1) -> SweepResult:
+                    nodes: int = NumericsConfig.ensemble_nodes,
+                    sensitivity: float = NumericsConfig.sensitivity_fraction) -> SweepResult:
     """Transport enhancement versus illumination bandwidth, both routes.
 
     For each tophat bandwidth the enhancement over the coherent run at the
@@ -207,8 +194,11 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     to it), and every (detuning scale, gamma) run of the dephasing route is
     one master-equation stack over z in {0, z_cm}, whose density margins the
     metadata records as ``diagnostics.lindblad``.  A zero bandwidth on the
-    grid doubles as the reference.
+    grid doubles as the reference.  ``nodes`` and ``sensitivity`` are
+    ``numerics.ensemble_nodes`` and ``numerics.sensitivity_fraction`` and
+    are refused outside their ranges.
     """
+    NumericsConfig(ensemble_nodes=nodes, sensitivity_fraction=sensitivity)
     bws = np.asarray(bandwidths_nm, dtype=float)
     if np.any(bws < 0):
         raise ValueError("bandwidths must be non-negative")

@@ -1,9 +1,14 @@
 """Command-line entry point.
 
 Subcommands: simulate, sweep-wavelength, sweep-bandwidth, map, calibrate,
-check.  Each experiment run writes CSV tables plus a JSON manifest that
-echoes the config file as given (keys it omits took the package's
-defaults) and hashes every output.  Exit codes: 0 success,
+check.  The four experiments (simulate, the two sweeps and map) are
+functions (config, args) -> (SweepResult, CSV name, command label) that
+share one run path, ``_run``: it reads the config document once, runs
+the experiment, and writes the CSV into ``--output-dir`` (else
+``output.directory``) plus a JSON manifest that echoes the config file as
+given (keys it omits took ``NumericsConfig``'s and the other dataclasses'
+defaults) and hashes the output.  No output directory is made before the
+config and the experiment have run.  Exit codes: 0 success,
 2 configuration problems, 3 numerical failure or failed checks.
 """
 
@@ -19,14 +24,14 @@ import os
 import platform
 import sys
 from pathlib import Path
-from typing import Dict, Optional
 
 import numpy as np
 
 from ._version import __version__
 from . import analysis, calibration, decoherence, lattice, propagate
 from .config import (ConfigError, RunConfig, config_from_dict, config_sha256,
-                     default_config_dict, read_config_document)
+                     default_config_dict, parse_config, read_config_document,
+                     wavelength_grid)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,20 +48,15 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _output_dir(config: RunConfig, override: Optional[str]) -> Path:
-    if override:
-        directory = override
-    else:
-        directory = os.environ.get("ENAQT_OUTPUT_DIR", config.output.directory)
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _emit(args, config: RunConfig, raw_config: Dict, started: str,
-          result: analysis.SweepResult, csv_name: str, command: str) -> int:
-    """Write the result's CSV and its manifest, and report the CSV path."""
-    out_dir = _output_dir(config, args.output_dir)
+def _run(args) -> int:
+    """The one run path: read the config document once, run the command's
+    experiment, and write its CSV and a manifest beside it."""
+    raw = read_config_document(args.config)
+    config = config_from_dict(raw)
+    started = _utc_now()
+    result, csv_name, command = args.experiment(config, args)
+    out_dir = Path(args.output_dir or config.output.directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / csv_name
     result.write_csv(csv_path)
     manifest = {
@@ -65,8 +65,8 @@ def _emit(args, config: RunConfig, raw_config: Dict, started: str,
         "workers": args.workers,
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "config": raw_config,
-        "config_sha256": config_sha256(raw_config),
+        "config": raw,
+        "config_sha256": config_sha256(raw),
         "outputs": [{"path": csv_path.name, "sha256": _sha256_file(csv_path)}],
         "runtime": {  # facts that bear on run time, never on the numbers
             "cpu_count": os.cpu_count(),
@@ -83,30 +83,14 @@ def _emit(args, config: RunConfig, raw_config: Dict, started: str,
     return EXIT_OK
 
 
-def _load(args) -> tuple:
-    """The validated config and the document it came from, read once."""
-    raw = read_config_document(args.config)
-    return config_from_dict(raw), raw
-
-
-def _require_sink(config: RunConfig, command: str) -> None:
-    """Stop a command that takes its trapping rate from the sink chain."""
-    if config.network.sink is None:
-        raise ConfigError("network.sink",
-                          f"{command} takes its trapping rate from the sink chain; "
-                          "the network has none")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# experiments: (config, args) -> (result, CSV name, command label)
 
-def _cmd_simulate(args) -> int:
-    config, raw = _load(args)
-    started = _utc_now()
+def _simulate(config: RunConfig, args):
     net = config.network
     exp = config.experiment
     lam0 = net.dispersion.lambda0_nm
-    zs = analysis.wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm)
+    zs = wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm)
 
     h = lattice.build_hamiltonian(net, lam0)
     trace = propagate.evolve_unitary(h, propagate.site_state(h.dimension, net.input_site), zs)
@@ -124,54 +108,44 @@ def _cmd_simulate(args) -> int:
         columns["sink_fraction_effective_rate"] = trapped.sink_population
 
     result = analysis.SweepResult(columns=columns, metadata={"wavelength_nm": lam0})
-    return _emit(args, config, raw, started, result, "dynamics.csv", "simulate")
+    return result, "dynamics.csv", "simulate"
 
 
-def _cmd_sweep_wavelength(args) -> int:
-    config, raw = _load(args)
-    started = _utc_now()
+def _sweep_wavelength(config: RunConfig, args):
     net = config.network
     exp = config.experiment
-    lams = analysis.wavelength_grid(net.dispersion.lambda0_nm, exp.wavelength_min_nm,
-                                    exp.wavelength_max_nm, exp.wavelength_step_nm)
+    lams = wavelength_grid(net.dispersion.lambda0_nm, exp.wavelength_min_nm,
+                           exp.wavelength_max_nm, exp.wavelength_step_nm)
     result = analysis.sweep_wavelength(net, lams, exp.z_cm)
-    return _emit(args, config, raw, started, result, "wavelength_sweep.csv",
-                 "sweep-wavelength")
+    return result, "wavelength_sweep.csv", "sweep-wavelength"
 
 
-def _cmd_sweep_bandwidth(args) -> int:
-    config, raw = _load(args)
-    _require_sink(config, "sweep-bandwidth")
-    started = _utc_now()
-    net = config.network
+def _sweep_bandwidth(config: RunConfig, args):
     exp = config.experiment
     num = config.numerics
-    bws = analysis.wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm)
-    result = analysis.sweep_bandwidth(net, bws, exp.z_cm, nodes=num.ensemble_nodes,
+    bws = wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm)
+    result = analysis.sweep_bandwidth(config.network, bws, exp.z_cm,
+                                      nodes=num.ensemble_nodes,
                                       sensitivity=num.sensitivity_fraction)
-    return _emit(args, config, raw, started, result, "bandwidth_sweep.csv",
-                 "sweep-bandwidth")
+    return result, "bandwidth_sweep.csv", "sweep-bandwidth"
 
 
-def _cmd_map(args) -> int:
-    config, raw = _load(args)
-    _require_sink(config, "map")
-    started = _utc_now()
-    net = config.network
+def _map(config: RunConfig, args):
     exp = config.experiment
     if args.extended:
         # long-haul regime: strong dephasing pushes the efficiency toward 1
-        zs = analysis.wavelength_grid(0.0, 0.0, 500.0, 5.0)
-        gammas = analysis.wavelength_grid(0.0, 0.0, 0.5, 0.025)
+        zs = wavelength_grid(0.0, 0.0, 500.0, 5.0)
+        gammas = wavelength_grid(0.0, 0.0, 0.5, 0.025)
         csv_name, command = "enaqt_map_extended.csv", "map --extended"
     else:
-        zs = analysis.wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm)
-        gammas = analysis.wavelength_grid(0.0, 0.0, exp.gamma_max_per_cm,
-                                          exp.gamma_step_per_cm)
+        zs = wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm)
+        gammas = wavelength_grid(0.0, 0.0, exp.gamma_max_per_cm, exp.gamma_step_per_cm)
         csv_name, command = "enaqt_map.csv", "map"
-    result = analysis.enaqt_map(net, zs, gammas)
-    return _emit(args, config, raw, started, result, csv_name, command)
+    return analysis.enaqt_map(config.network, zs, gammas), csv_name, command
 
+
+# ---------------------------------------------------------------------------
+# commands that write no run table
 
 def _cmd_calibrate(args) -> int:
     rows = []
@@ -213,7 +187,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config, _ = _load(args)
+    config = parse_config(args.config)
     net = config.network
     num = config.numerics
     lam0 = net.dispersion.lambda0_nm
@@ -308,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the full default configuration as JSON and exit")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add_run(name: str, fn, help_text: str):
+    def add_run(name: str, help_text: str, experiment=None, fn=_run):
+        """A command that reads a config file: by default ``_run`` runs its
+        ``experiment``."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON run configuration")
         p.add_argument("--workers", type=int, default=1,
@@ -316,23 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "no processes (every sweep runs in this process)")
         p.add_argument("--output-dir", default=None,
                        help="override the output directory")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, experiment=experiment)
         return p
 
-    add_run("simulate", _cmd_simulate,
-            "propagate light through the network and record populations vs z")
-    add_run("sweep-wavelength", _cmd_sweep_wavelength,
-            "coherent transport efficiency across the wavelength window")
-    add_run("sweep-bandwidth", _cmd_sweep_bandwidth,
-            "transport enhancement vs illumination bandwidth (ensemble and "
-            "dephasing routes)")
-    p_map = add_run("map", _cmd_map,
-                    "efficiency and enhancement over propagation length and "
-                    "dephasing strength")
+    add_run("simulate", "propagate light through the network and record "
+            "populations vs z", experiment=_simulate)
+    add_run("sweep-wavelength", "coherent transport efficiency across the "
+            "wavelength window", experiment=_sweep_wavelength)
+    add_run("sweep-bandwidth", "transport enhancement vs illumination bandwidth "
+            "(ensemble and dephasing routes)", experiment=_sweep_bandwidth)
+    p_map = add_run("map", "efficiency and enhancement over propagation length and "
+                    "dephasing strength", experiment=_map)
     p_map.add_argument("--extended", action="store_true",
                        help="long-range grid (z to 500 cm, gamma to 0.5 cm^-1)")
-    add_run("check", _cmd_check,
-            "run the built-in invariant checks against the configured network")
+    add_run("check", "run the built-in invariant checks against the configured "
+            "network", fn=_cmd_check)
 
     p_cal = sub.add_parser("calibrate",
                            help="fit an exponential coupling-vs-separation curve")

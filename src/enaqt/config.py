@@ -8,7 +8,10 @@ Site indices are 1-based in config files (matching how the guides are
 labelled on the device sketch) and converted to the 0-based indices the
 Python API uses.  The spectrum, dispersion, sink, experiment, output and
 numerics blocks are read field by field from the dataclass each one
-builds, so their defaults and range checks are written only there.
+builds, so their defaults and range checks are written only there; the
+Python API takes its ``numerics`` defaults and checks from
+``NumericsConfig`` too.  ``wavelength_grid`` is the one grid rule, which
+the window check applies and every run grid follows.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from .analysis import wavelength_grid
+import numpy as np
+
 from .decoherence import Spectrum
 from .lattice import DispersionModel, NetworkSpec, SinkSpec
 
@@ -258,6 +262,24 @@ def config_from_dict(raw: Dict) -> RunConfig:
     _check_bands(config)
     _check_sink(config)
     return config
+
+
+def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
+                    step_nm: float) -> np.ndarray:
+    """Uniform grid anchored so that lambda0 is exactly on it.
+
+    This is the CLI's one grid rule, for z, bandwidth and gamma (anchored
+    at 0) as well as wavelength: it never passes ``max_nm`` by more than
+    1e-12 of a step, so a range that is no whole number of steps stops at
+    its last whole step.
+    """
+    if step_nm <= 0:
+        raise ValueError(f"step must be positive, got {step_nm}")
+    k_lo = math.ceil((min_nm - lambda0_nm) / step_nm - 1e-12)
+    k_hi = math.floor((max_nm - lambda0_nm) / step_nm + 1e-12)
+    if k_hi < k_lo:
+        raise ValueError("empty wavelength grid")
+    return lambda0_nm + step_nm * np.arange(k_lo, k_hi + 1)
 
 
 def _check_grids(config: RunConfig) -> None:

@@ -364,13 +364,14 @@ class EnsembleResult:
 
 
 def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
-                     nodes: int = 41) -> EnsembleResult:
+                     nodes: int) -> EnsembleResult:
     """Trace out the wavelength: average coherent runs over the spectrum.
 
     Evolves ``psi0`` unitarily (explicit sink and all) to ``z_cm`` at every
     quadrature node at once, with the batched wavelength propagator that
     the wavelength sweep and ``band_fit`` use, and accumulates the weighted
-    mixture of the resulting pure states in a fixed node order.
+    mixture of the resulting pure states in a fixed node order.  ``nodes``
+    is the quadrature size, ``numerics.ensemble_nodes`` in a config.
     """
     lams, weights = spectral_nodes(spectrum, nodes)
     amps0 = _initial_amplitudes(psi0, net.dimension)

@@ -543,13 +543,13 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
 
     Row i of the 2-d ``rates`` holds the dephasing rates run under
     ``hams[i]``; runs are taken row by row.  Every generator is
-    L0(H) - gamma diag(mask), with L0 built once per Hamiltonian, and all
-    runs step together through one ``_propagate`` call.  See
-    ``evolve_lindblad``, the one-run case, for the model.
+    L0(H) - gamma diag(mask), with
+    L0 = -i(H_eff x I - I x conj(H_eff)) built once per Hamiltonian from the
+    trapping generator ``_trapped_hamiltonian``, and all runs step together
+    through one ``_propagate`` call.  See ``evolve_lindblad``, the one-run
+    case, for the model.
     """
     rates = np.asarray(rates, dtype=float)
-    if kappa < 0:
-        raise ValueError(f"kappa must be non-negative, got {kappa}")
     if np.any(rates < 0):
         raise ValueError(f"dephasing rate must be non-negative, got {rates.min()}")
     if rates.ndim != 2 or rates.shape[0] != len(hams):
@@ -557,13 +557,10 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
     zs = _as_zgrid(z_grid)
     dim = hams[0].dimension
     rho = _initial_density(rho0, dim)
-    if not 0 <= target < dim or not 0 <= dephasing_site < dim:
-        raise ValueError("target or dephasing site out of range")
+    if not 0 <= dephasing_site < dim:
+        raise ValueError(f"dephasing site {dephasing_site} out of range")
 
     eye = np.eye(dim)
-    proj = np.zeros((dim, dim))
-    proj[target, target] = 1.0
-    trapping = 0.5 * kappa * (np.kron(proj, eye) + np.kron(eye, proj))
     # damped coherences: the dephasing site against every other
     mask = np.zeros((dim, dim))
     mask[dephasing_site, :] = mask[:, dephasing_site] = 1.0
@@ -571,8 +568,8 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
     dephasing = np.diag(mask.ravel())
     gens = np.empty((rates.size, dim * dim, dim * dim), dtype=complex)
     for i, h in enumerate(hams):
-        hmat = h.entries
-        base = -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T)) - trapping
+        h_eff = _trapped_hamiltonian(h, kappa, target)
+        base = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
         row = slice(i * rates.shape[1], (i + 1) * rates.shape[1])
         gens[row] = base - rates[i, :, None, None] * dephasing
     out = _propagate(gens, rho.ravel(), zs).reshape(rates.size, zs.size, dim, dim)
@@ -640,18 +637,18 @@ class NoReturnReport:
         return self.end_population_ok and self.system_shift_ok
 
 
-def sink_no_return_check(net: NetworkSpec, z_max: float,
+def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float,
                          wavelength_nm: Optional[float] = None,
                          z_step: float = 0.1,
-                         n_extra: int = 5,
-                         threshold: float = 1e-3) -> NoReturnReport:
+                         n_extra: int = 5) -> NoReturnReport:
     """Check that light entering the sink never makes it back.
 
     Two observables over z in [0, z_max]: the population reaching the last
     sink guide (the wavefront must die out before the boundary) and the
     change in system-site populations when the chain is extended by
     ``n_extra`` guides (a direct measure of boundary influence).  Either
-    exceeding ``threshold`` flags the chain as too short.
+    exceeding ``threshold`` (``numerics.no_return_threshold``) flags the
+    chain as too short.
     """
     if net.sink is None:
         raise ValueError("network has no explicit sink to check")

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from enaqt import decoherence
+from enaqt import analysis, decoherence
 from enaqt import (DispersionModel, HamiltonianMatrix, Spectrum,
                    build_hamiltonian, dark_state_diagnostics, enaqt4_network, enaqt_map,
                    ensemble_average, evolve_trapped, SweepResult, site_state,
@@ -47,6 +47,19 @@ def test_dark_diagnostics_rejects_sink(design_net):
     h = build_hamiltonian(design_net, LAMBDA0)
     with pytest.raises(ValueError):
         dark_state_diagnostics(h, target=2)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before the numerics values were checked")
+
+
+@pytest.mark.parametrize("threshold", [2.0, 0.0])
+def test_dark_diagnostics_refuse_a_threshold_outside_its_range(h_system, monkeypatch,
+                                                               threshold):
+    # numerics.dark_overlap_threshold's own range: at 2.0 every mode would be dark
+    monkeypatch.setattr(analysis, "_eigh", _must_not_run)
+    with pytest.raises(ValueError, match=r"^numerics\.dark_overlap_threshold: "):
+        dark_state_diagnostics(h_system, target=2, threshold=threshold)
 
 
 def test_dark_bound_matches_long_run_trapping():
@@ -156,6 +169,21 @@ def test_bandwidth_sweep_shape_and_monotonicity(design_net):
     assert result.metadata["measured_reference"]["enaqt_percent"] == 7.6
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"sensitivity": 1.5}, "sensitivity_fraction"),
+    ({"sensitivity": -0.5}, "sensitivity_fraction"),
+    ({"sensitivity": 1.0}, "sensitivity_fraction"),
+    ({"nodes": 0}, "ensemble_nodes"),
+])
+def test_bandwidth_sweep_refuses_numerics_outside_their_range(design_net, monkeypatch,
+                                                              kwargs, key):
+    # the ranges are NumericsConfig's, checked before any propagation
+    monkeypatch.setattr(analysis, "band_fit", _must_not_run)
+    monkeypatch.setattr(analysis, "_lindblad_runs", _must_not_run)
+    with pytest.raises(ValueError, match=rf"^numerics\.{key}: "):
+        sweep_bandwidth(design_net, [0.0, 45.0], 15.0, **kwargs)
+
+
 def test_ensemble_is_weighted_sum_of_coherent_sweep(design_net):
     # tracing out the wavelength: eta_ens = sum_k w_k eta_coh(lambda_k)
     spectrum = Spectrum.tophat(LAMBDA0, 95.0)
@@ -257,7 +285,7 @@ def test_band_fit_degenerate_cases(design_net):
     res = sweep_bandwidth(design_net, [0.0], 15.0, nodes=41, sensitivity=0.0)
     assert res.metadata["ensemble_fit"] == {"points": 1, "tail": 0.0}
     assert res.column("enaqt_ensemble")[0] == 0.0
-    center = ensemble_average(design_net, Spectrum.tophat(LAMBDA0, 0.0), psi0, 15.0)
+    center = ensemble_average(design_net, Spectrum.tophat(LAMBDA0, 0.0), psi0, 15.0, nodes=41)
     assert res.column("efficiency_ensemble")[0] == pytest.approx(
         center.trapped_fraction, abs=1e-15)
     # z = 0: eta is zero to rounding everywhere, so the first size is enough

@@ -177,7 +177,7 @@ def test_delta_ensemble_equals_single_run(design_net):
     h = build_hamiltonian(design_net, LAMBDA0)
     psi0 = site_state(h.dimension, 0)
     single = evolve_unitary(h, psi0, [15.0])
-    ens = ensemble_average(design_net, Spectrum.tophat(LAMBDA0, 0.0), psi0, 15.0)
+    ens = ensemble_average(design_net, Spectrum.tophat(LAMBDA0, 0.0), psi0, 15.0, nodes=41)
     assert ens.node_count == 1
     assert np.max(np.abs(ens.averaged_populations[:4]
                          - single.populations[-1])) < 1e-12
@@ -185,7 +185,7 @@ def test_delta_ensemble_equals_single_run(design_net):
 
 def test_ensemble_density_is_physical(design_net):
     psi0 = site_state(design_net.dimension, 0)
-    ens = ensemble_average(design_net, DESIGN_TOPHAT, psi0, 15.0)
+    ens = ensemble_average(design_net, DESIGN_TOPHAT, psi0, 15.0, nodes=41)
     rho = ens.averaged_density
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -214,7 +214,7 @@ def test_ensemble_purity_non_increasing_in_bandwidth(design_net):
     purities = []
     for dl in (0.0, 15.0, 35.0, 60.0, 95.0):
         spec = Spectrum.tophat(LAMBDA0, dl)
-        rho = ensemble_average(design_net, spec, psi0, 15.0).averaged_density
+        rho = ensemble_average(design_net, spec, psi0, 15.0, nodes=41).averaged_density
         purities.append(float(np.trace(rho @ rho).real))
     assert all(b <= a + 1e-12 for a, b in zip(purities, purities[1:]))
     assert purities[0] == pytest.approx(1.0, abs=1e-9)

@@ -516,7 +516,7 @@ def test_a_small_negative_eigenvalue_is_recorded_in_any_chunk(run, z):
     rhos[run, z] = modes @ np.diag([0.5, 0.3, 0.2, -1e-12]) @ modes.conj().T
     least = _density_margins(rhos)["min_eigenvalue"]
     assert least == float(np.linalg.eigvalsh(rhos).min())
-    assert least == pytest.approx(-1e-12, rel=1e-3)
+    assert least == pytest.approx(-1e-12, rel=1e-3, abs=0.0)
 
 
 def test_the_map_stack_sends_few_matrices_to_eigvalsh(cli_stacks, monkeypatch):
@@ -569,7 +569,7 @@ def test_effective_rate_tracks_explicit_efficiency(design_kappa, h_system):
 
 
 def test_no_return_check_passes_default(design_net):
-    report = sink_no_return_check(design_net, 15.0)
+    report = sink_no_return_check(design_net, 15.0, threshold=1e-3)
     assert report.passed
     assert report.max_end_population < 1e-3
     assert report.max_system_shift < 1e-3
@@ -577,19 +577,19 @@ def test_no_return_check_passes_default(design_net):
 
 def test_no_return_check_flags_short_chain():
     net = enaqt4_network(sink=SinkSpec(n_sink=2))
-    report = sink_no_return_check(net, 15.0)
+    report = sink_no_return_check(net, 15.0, threshold=1e-3)
     assert not report.passed
 
 
 def test_no_return_check_trivial_at_zero_length(design_net):
-    report = sink_no_return_check(design_net, 0.0)
+    report = sink_no_return_check(design_net, 0.0, threshold=1e-3)
     assert report.passed
     assert report.max_end_population < 1e-30  # eigenbasis round-trip residue
 
 
 def test_no_return_requires_explicit_sink(design_net_open):
     with pytest.raises(ValueError):
-        sink_no_return_check(design_net_open, 15.0)
+        sink_no_return_check(design_net_open, 15.0, threshold=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +748,7 @@ def test_bessel_j_rescales_a_tiny_argument():
     table = propagate._bessel_j(np.array([1e-10, 50.0]))
     assert np.all(np.isfinite(table))
     assert table[0, 0] == 1.0
-    assert table[1, 0] == pytest.approx(5e-11, rel=1e-12)
+    assert table[1, 0] == pytest.approx(5e-11, rel=1e-12, abs=0.0)
     assert not table[2:, 0].any()
     want = scipy.special.jv(np.arange(table.shape[0]), 50.0)
     assert np.max(np.abs(table[:, 1] - want)) < 1e-14
@@ -779,6 +779,12 @@ def test_density_state_validation():
                           (np.eye(3) / 3.0, "shape")]:
         with pytest.raises(ValueError, match=message):
             evolve_lindblad(h, 0.0, 0, 0.0, 1, rho0, [1.0])
+    # trapping rate and sites are checked where the trapping generator is built
+    with pytest.raises(ValueError, match="kappa must be non-negative"):
+        evolve_lindblad(h, -1.0, 0, 0.0, 1, site_state(2, 0), [1.0])
+    for target, dephasing_site in [(2, 1), (0, 2)]:
+        with pytest.raises(ValueError, match="out of range"):
+            evolve_lindblad(h, 0.0, target, 0.0, dephasing_site, site_state(2, 0), [1.0])
     psi0 = site_state(2, 0)
     trace = evolve_lindblad(h, 0.0, 0, 0.0, 1, np.outer(psi0, psi0.conj()), [0.0])
     assert np.array_equal(trace.densities[0], [[1.0, 0.0], [0.0, 0.0]])
