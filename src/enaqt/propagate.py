@@ -27,6 +27,10 @@ SERIES_MAX_ARGUMENT = 1000.0
 # runs of a stacked propagation step together in chunks holding at most this
 # many step matrices, which bounds the memory a call needs beyond its output
 STEP_STACK = 64
+# an _expm call takes at most this many step matrices: its Pade temporaries
+# (~1 MiB for 16 x 16 Liouvillians) then stay within one core's L2 cache, and
+# the memory a call needs stays small
+EXPM_STACK = 16
 
 
 class NumericalError(RuntimeError):
@@ -360,25 +364,36 @@ def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
     ``gen`` may also be a stack of runs' generators (runs, n, n), with ``v``
     one start vector per run or one shared by all; the result is then
     (runs, nz, n) and each z is one stacked product over a chunk of runs
-    that holds at most ``STEP_STACK`` step matrices.  Each run's steps are
-    exponentiated in an ``_expm`` call of their own, so its scaling, and
-    every bit of its result, is what that run alone would give.  A zero
-    step is the identity and is not exponentiated.
+    that holds at most ``STEP_STACK`` step matrices.  Each run's scaling
+    exponent is set by the largest 1-norm of its own steps, before any
+    step is taken, and a chunk's runs of equal exponent are exponentiated
+    together, at most ``EXPM_STACK`` step matrices to an ``_expm`` call.
+    Every matrix of a call is scaled by the 2^-s it would get alone, and the
+    stacked products treat each matrix apart, so every bit of a run's result
+    is what that run alone would give.  A zero step is the identity and is
+    not exponentiated.
     """
     single = gen.ndim == 2
     gens = gen[None] if single else gen
     dzs, step_of = np.unique(_grid_steps(zs), return_inverse=True)
     moving = dzs != 0.0
-    n_moving = int(moving.sum())
+    dz = dzs[moving, None, None]
+    n_moving = dz.shape[0]
     step_index = np.cumsum(moving) - 1
+    exponents = np.array([_scaling_exponent(g * dz) for g in gens] if n_moving else [])
     starts = np.broadcast_to(v, gens.shape[:2])
     out = np.empty((gens.shape[0], zs.size, gens.shape[1]), dtype=complex)
     per_chunk = max(1, STEP_STACK // max(1, n_moving))
     for lo in range(0, gens.shape[0], per_chunk):
         chunk = slice(lo, lo + per_chunk)
         steps = np.empty((n_moving,) + gens[chunk].shape, dtype=complex)
-        for r, g in enumerate(gens[chunk] if n_moving else ()):
-            steps[:, r] = _expm(g * dzs[moving, None, None])
+        for s in np.unique(exponents[chunk]):
+            # the (run, step) pairs of this exponent, run by run
+            same = np.flatnonzero(exponents[chunk] == s)
+            runs, step = np.repeat(same, n_moving), np.tile(np.arange(n_moving), same.size)
+            for i in range(0, runs.size, EXPM_STACK):
+                r, k = runs[i:i + EXPM_STACK], step[i:i + EXPM_STACK]
+                steps[k, r] = _expm(gens[lo + r] * dz[k], int(s))
         v = starts[chunk].astype(complex)
         for k, j in enumerate(step_of):
             if moving[j]:
@@ -394,13 +409,22 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def _expm(stack: np.ndarray) -> np.ndarray:
-    """exp(A) for each A of a stack: Pade-13 scaling and squaring (Higham's
-    Algorithm 2.3), one scaling 2^-s for the stack, set by its largest 1-norm."""
+def _scaling_exponent(stack: np.ndarray) -> int:
+    """The s of the scaling 2^-s that brings the largest 1-norm of a stack
+    within theta_13: the least s >= 0, 0 for a zero stack.  A NaN or inf
+    entry raises NumericalError."""
     norm = float(np.abs(stack).sum(axis=-2).max())
     if not math.isfinite(norm):
         raise NumericalError(f"cannot exponentiate a generator of 1-norm {norm}")
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+    return max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+
+
+def _expm(stack: np.ndarray, s: Optional[int] = None) -> np.ndarray:
+    """exp(A) for each A of a stack: Pade-13 scaling and squaring (Higham's
+    Algorithm 2.3), one scaling 2^-s for the stack, by default the
+    ``_scaling_exponent`` of the stack."""
+    if s is None:
+        s = _scaling_exponent(stack)
     a = stack / 2.0 ** s
     a2 = a @ a
     a4 = a2 @ a2
@@ -653,10 +677,12 @@ def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float,
     if net.sink is None:
         raise ValueError("network has no explicit sink to check")
     lam = wavelength_nm if wavelength_nm is not None else net.dispersion.lambda0_nm
-    if z_max == 0:
-        zs = np.array([0.0])
-    else:
-        zs = np.arange(0.0, z_max + 0.5 * z_step, z_step)
+    if not z_max >= 0:
+        raise ValueError(f"z_max must be non-negative, got {z_max}")
+    # the z_step grid, ending at z_max itself where z_max is off it
+    zs = np.arange(0.0, z_max + 0.5 * z_step, z_step)
+    if zs[-1] < z_max:
+        zs = np.append(zs, z_max)
 
     def run(spec: NetworkSpec):
         # the system guides, then the last sink guide

@@ -229,6 +229,18 @@ def _moved(zs, index):
     return zs
 
 
+def _count_expm_calls(monkeypatch):
+    """The number of matrices of each ``_expm`` call, in call order."""
+    sizes = []
+
+    def counting(stack, s=None):
+        sizes.append(stack.shape[0])
+        return _expm(stack, s)
+
+    monkeypatch.setattr(propagate, "_expm", counting)
+    return sizes
+
+
 @pytest.mark.parametrize("zs, per_run", [
     # rounded differences spread over 8 values, all of them 0.1
     (0.1 * np.arange(151), 1),
@@ -243,20 +255,58 @@ def test_uniform_grid_steps_with_one_exponential(zs, per_run, monkeypatch):
         steps = np.unique(np.diff(zs, prepend=0.0))
         per_run = np.count_nonzero(steps)
         assert per_run > 2
-    sizes = []
-
-    def counting(stack):
-        sizes.append(stack.shape[0])
-        return _expm(stack)
-
-    monkeypatch.setattr(propagate, "_expm", counting)
+    sizes = _count_expm_calls(monkeypatch)
     gens = np.stack([_unit_norm_generator(4, seed) for seed in (11, 12)])
+    # a third run whose largest step has 1-norm 40: three squarings, against
+    # none for the two unit-norm runs
+    steep = _unit_norm_generator(4, 13) * 40.0 / np.max(np.diff(zs, prepend=0.0))
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    got = _propagate(gens, v0, zs)
-    assert sizes == [per_run, per_run]
+    got = _propagate(np.concatenate([gens, steep[None]]), v0, zs)
+    # the two runs of one scaling share a call, the third has one of its own
+    assert sizes == [2 * per_run, per_run]
     for gen, run in zip(gens, got):
         want = np.array([scipy.linalg.expm(gen * z) @ v0 for z in zs])
         assert np.max(np.abs(run - want)) < 1e-13
+    sizes.clear()
+    assert np.array_equal(got[2], _propagate(steep, v0, zs))
+    assert sizes == [per_run]
+
+
+def test_cli_stacks_exponentiate_in_capped_calls(monkeypatch):
+    # every bundled run shares one scaling: sweep-bandwidth's 60 runs go
+    # through ceil(60 / 16) = 4 calls, map's 21 through 2
+    config = parse_config(bundled_network_path())
+    net, exp, num = config.network, config.experiment, config.numerics
+    sizes = _count_expm_calls(monkeypatch)
+    analysis.sweep_bandwidth(
+        net, wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm),
+        exp.z_cm, nodes=num.ensemble_nodes, sensitivity=num.sensitivity_fraction)
+    assert len(sizes) == 4 and sum(sizes) == 60
+    assert max(sizes) <= propagate.EXPM_STACK
+    sizes.clear()
+    analysis.enaqt_map(net, wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm),
+                       wavelength_grid(0.0, 0.0, exp.gamma_max_per_cm,
+                                       exp.gamma_step_per_cm))
+    assert len(sizes) == 2 and sum(sizes) == 21
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_generator_in_a_stack_fails_before_any_step(bad, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step was exponentiated")
+
+    monkeypatch.setattr(propagate, "_expm", no_step)
+    # the bad run is the last one, in the second chunk of runs
+    gens = np.stack([_unit_norm_generator(4, seed) for seed in range(70)])
+    gens[-1, 1, 2] = bad
+    h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LAMBDA0, 2)
+    # inf times a zero entry is NaN, which numpy reports as invalid
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="1-norm"):
+            _propagate(gens, np.array([1.0, 0.0, 0.0, 0.0]), ZS)
+        with pytest.raises(NumericalError, match="1-norm"):
+            _lindblad_runs([h, h], [[0.1, 0.2], [0.3, bad]], 0.5, 1, 0,
+                           site_state(2, 0), ZS)
 
 
 def _unit_norm_generator(n, seed):
@@ -390,7 +440,7 @@ def test_stacked_runs_match_one_at_a_time(grid, design_net_open, design_kappa):
     assert stacked.shape == (3 * gammas.size, zs.size, 4, 4)
     alone = np.array([evolve_lindblad(h, design_kappa, 2, float(g), 3, rho0, zs).densities
                       for h, row in zip(hams, rates) for g in row])
-    assert np.max(np.abs(stacked - alone)) <= 1e-15
+    assert np.array_equal(stacked, alone)
     assert margins == propagate._density_margins(alone)
 
 
@@ -585,6 +635,28 @@ def test_no_return_check_trivial_at_zero_length(design_net):
     report = sink_no_return_check(design_net, 0.0, threshold=1e-3)
     assert report.passed
     assert report.max_end_population < 1e-30  # eigenbasis round-trip residue
+
+
+@pytest.mark.parametrize("z_max, n", [(0.05, 2), (15.04, 152), (15.0, 151)])
+def test_no_return_check_reaches_z_max(design_net, z_max, n, monkeypatch):
+    # a z_max off the 0.1 cm grid is appended; one on it keeps the grid
+    grids = []
+
+    def spy(h, amps, zs, guides):
+        grids.append(np.array(zs))
+        return _unitary_amplitudes(h, amps, zs, guides)
+
+    monkeypatch.setattr(propagate, "_unitary_amplitudes", spy)
+    sink_no_return_check(design_net, z_max, threshold=1e-3)
+    assert len(grids) == 2
+    for zs in grids:
+        assert zs.size == n and zs[-1] == z_max
+        assert np.array_equal(zs[:-1], 0.1 * np.arange(n - 1))
+
+
+def test_no_return_check_refuses_negative_z_max(design_net):
+    with pytest.raises(ValueError, match="z_max"):
+        sink_no_return_check(design_net, -0.1, threshold=1e-3)
 
 
 def test_no_return_requires_explicit_sink(design_net_open):
