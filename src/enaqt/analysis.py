@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
@@ -105,22 +107,39 @@ class SweepResult:
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path) -> str:
         """One row per grid point; header carries the unit-suffixed names.
+        Returns the SHA-256 hex digest of the bytes written.
 
-        Floats are written with shortest round-trip repr, so identical
-        results serialize to identical bytes.
+        Floats are written with shortest round-trip repr of Python floats
+        (3.0, -0.0, 1e-300, nan), so identical results serialize to
+        identical bytes.  Each distinct value of the table, told apart by
+        its bits so that -0.0 and 0.0 stay apart, is formatted once; rows
+        take their texts by index and are joined in blocks of 256, which
+        bounds the memory of the joined text.  Each block is encoded once,
+        written, and fed to the digest, so the file is never read back.
         """
-        names = list(self.columns.keys())
-        cols = [np.asarray(self.columns[n], dtype=float) for n in names]
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(names)
-            # blocks of rows as the repr of Python floats (3.0, -0.0, 1e-300,
-            # nan), joined into one string per block; a block at a time bounds
-            # the memory
-            for lo in range(0, self.n_rows, 256):
-                texts = [list(map(repr, col[lo:lo + 256].tolist())) for col in cols]
-                fh.write("".join(",".join(row) + "\n" for row in zip(*texts)))
+        names = list(self.columns)
+        bits, inverse = np.unique(
+            np.array([self.columns[n] for n in names], dtype=float).view(np.uint64),
+            return_inverse=True)
+        # 256 values at a time, so no list holds every value as a Python float
+        texts = np.empty(bits.size, dtype=object)
+        for lo in range(0, bits.size, 256):
+            texts[lo:lo + 256] = list(map(repr, bits[lo:lo + 256].view(float).tolist()))
+        del bits  # not held through the blocks
+        rows = inverse.reshape(len(names), self.n_rows).T
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(names)
+        blocks = ("\n".join(map(",".join, texts[rows[lo:lo + 256]].tolist())) + "\n"
+                  for lo in range(0, self.n_rows, 256))
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for text in itertools.chain([header.getvalue()], blocks):
+                data = text.encode()
+                fh.write(data)
+                digest.update(data)
+        return digest.hexdigest()
 
 
 def network_fingerprint(net: NetworkSpec) -> str:

@@ -7,9 +7,10 @@ share one run path, ``_run``: it reads the config document once, runs
 the experiment, and writes the CSV into ``--output-dir`` (else
 ``output.directory``) plus a JSON manifest that echoes the config file as
 given (keys it omits took ``NumericsConfig``'s and the other dataclasses'
-defaults) and hashes the output.  No output directory is made before the
-config and the experiment have run.  Exit codes: 0 success,
-2 configuration problems, 3 numerical failure or failed checks.
+defaults) and the SHA-256 of the CSV, taken from the bytes as they are
+written.  No output directory is made before the config and the
+experiment have run.  Exit codes: 0 success, 2 configuration problems,
+3 numerical failure or failed checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import csv
 import datetime
 import functools
-import hashlib
 import json
 import os
 import platform
@@ -44,10 +44,6 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _run(args) -> int:
     """The one run path: read the config document once, run the command's
     experiment, and write its CSV and a manifest beside it."""
@@ -58,7 +54,7 @@ def _run(args) -> int:
     out_dir = Path(args.output_dir or config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / csv_name
-    result.write_csv(csv_path)
+    digest = result.write_csv(csv_path)
     manifest = {
         "version": __version__,
         "command": command,
@@ -67,7 +63,7 @@ def _run(args) -> int:
         "finished_utc": _utc_now(),
         "config": raw,
         "config_sha256": config_sha256(raw),
-        "outputs": [{"path": csv_path.name, "sha256": _sha256_file(csv_path)}],
+        "outputs": [{"path": csv_path.name, "sha256": digest}],
         "runtime": {  # facts that bear on run time, never on the numbers
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),

@@ -479,17 +479,14 @@ def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
     ``STEP_STACK`` d^2 matrices (the size of one step chunk of
     ``_propagate``), so the scratch memory is a few such chunks and no
     run's trace is compared with another's.  Each chunk is also screened
-    by ``_certified_positive`` with the shift
-    tau = 64 d^2 eps max|rho_ii| over the stack.  A matrix it certifies
-    has a smallest ``eigvalsh`` eigenvalue above 0, so only the others
-    can hold a minimum below 0: ``eigvalsh`` runs on them, and if their
-    minimum is negative it is the stack's.  Otherwise the whole stack goes
-    through ``eigvalsh``.  Either way the minimum is LAPACK's, bit for bit.
+    by ``_certified_positive``.  A matrix it certifies has a smallest
+    ``eigvalsh`` eigenvalue above 0, so only the others can hold a minimum
+    below 0: ``eigvalsh`` runs on them, and if their minimum is negative it
+    is the stack's.  Otherwise the whole stack goes through ``eigvalsh``.
+    Either way the minimum is LAPACK's, bit for bit.
     """
     runs = rhos.reshape((-1,) + rhos.shape[-3:])
     nz, d = runs.shape[1], runs.shape[-1]
-    shift = 64 * d * d * np.finfo(float).eps * max(
-        float(np.abs(runs[..., i, i]).max()) for i in range(d))
     per_chunk = max(1, STEP_STACK * d * d // nz)
     growth, herm = 0.0, 0.0
     certified = np.empty(runs.shape[:2], dtype=bool)
@@ -499,7 +496,7 @@ def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
         growth = max(growth, float(np.max(np.diff(traces), initial=0.0)),
                      float(traces.max()) - 1.0)
         certified[lo:lo + per_chunk] = _certified_positive(
-            chunk.reshape(-1, d, d), shift).reshape(chunk.shape[:2])
+            chunk.reshape(-1, d, d)).reshape(chunk.shape[:2])
         # conj(rho) - rho^T in place: the conjugate of rho - conj(rho^T), so
         # the same moduli, with one contiguous temporary
         error = np.conj(chunk)
@@ -514,24 +511,31 @@ def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
             "max_hermiticity_error": herm}
 
 
-def _certified_positive(stack: np.ndarray, shift: float) -> np.ndarray:
+def _certified_positive(stack: np.ndarray) -> np.ndarray:
     """For each matrix of a stack (m, d, d), whether the Cholesky
-    factorization of its lower triangle minus ``shift`` I finds every pivot
-    positive: one vectorized factorization, the stack axis last, and no
-    LAPACK call.
+    factorization of its lower triangle minus tau I finds every pivot
+    positive, with the matrix's own shift tau = 64 d^2 eps max|H_ii|: one
+    vectorized factorization, the stack axis last, and no LAPACK call.
 
     The lower triangle is the Hermitian matrix H that ``eigvalsh`` reads.
-    A computed factor with positive pivots is exact for H - shift I + E,
+    A computed factor with positive pivots is exact for H - tau I + E,
     with |E| <= gamma_(d+1) |L||L^H| (Higham, Accuracy and Stability of
     Numerical Algorithms, Thm 10.3), so ||E|| <= d gamma_(d+1) max H_ii,
     a few d^2 eps max H_ii at most, and the least eigenvalue of H is at
-    least shift - ||E||.  With ``_density_margins``' shift of
-    64 d^2 eps max|H_ii| that is still some 60 d^2 eps max H_ii, far above
+    least tau - ||E||, some 60 d^2 eps max H_ii.  That is far above
     ``zheevd``'s eigenvalue error, a small multiple of
     eps ||H|| <= eps tr H <= d eps max H_ii, so the computed least
-    eigenvalue of a certified matrix is above 0."""
+    eigenvalue of a certified matrix is above 0.  The bound holds matrix
+    by matrix, so each matrix takes the shift of its own diagonal.
+    Below the normal range each operation may also add an absolute error
+    of up to the least subnormal, which that bound does not cover; a shift
+    of at least tiny/eps (about 1e-292) dwarfs it, and a matrix whose
+    shift is below that is not certified."""
+    d = stack.shape[-1]
+    shift = 64 * d * d * np.finfo(float).eps * np.abs(
+        np.diagonal(stack, axis1=-2, axis2=-1)).max(axis=-1)
     a = np.moveaxis(stack, 0, -1).copy()
-    ok = np.ones(a.shape[-1], dtype=bool)
+    ok = shift >= np.finfo(float).tiny / np.finfo(float).eps
     for k in range(a.shape[0]):
         pivot = a[k, k].real - shift
         ok &= pivot > 0.0
@@ -574,8 +578,10 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
     case, for the model.
     """
     rates = np.asarray(rates, dtype=float)
-    if np.any(rates < 0):
-        raise ValueError(f"dephasing rate must be non-negative, got {rates.min()}")
+    ok = np.isfinite(rates) & (rates >= 0)
+    if not ok.all():
+        raise ValueError("dephasing rate must be finite and non-negative, "
+                         f"got {rates[~ok][0]}")
     if rates.ndim != 2 or rates.shape[0] != len(hams):
         raise ValueError("need one row of dephasing rates per Hamiltonian")
     zs = _as_zgrid(z_grid)

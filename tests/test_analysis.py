@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -345,11 +346,15 @@ def test_write_csv_matches_the_csv_module(rows, tmp_path):
         "a": np.resize(values, rows),
         "b_cm": np.resize(values[::-1], rows),
         "n": np.arange(rows),
+        # runs of one value across the 256-row block boundary, and -0.0
+        # beside 0.0 in one block
+        "runs": np.repeat(values, 60)[:rows],
     })
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    result.write_csv(got)
+    digest = result.write_csv(got)
     _csv_module_reference(result, want)
     assert got.read_bytes() == want.read_bytes()
+    assert digest == hashlib.sha256(want.read_bytes()).hexdigest()
     assert got.read_bytes().count(b"\n") == rows + 1
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -143,6 +144,22 @@ def test_manifest_reruns_byte_identical(tmp_path):
     assert b1 == b2
     m2 = json.loads((out2 / "wavelength_sweep_manifest.json").read_text())
     assert manifest["outputs"][0]["sha256"] == m2["outputs"][0]["sha256"]
+
+
+@pytest.mark.parametrize("command, csv_name", [
+    ("simulate", "dynamics.csv"),
+    ("sweep-wavelength", "wavelength_sweep.csv"),
+    ("sweep-bandwidth", "bandwidth_sweep.csv"),
+    ("map", "enaqt_map.csv"),
+])
+def test_manifest_hash_is_the_hash_of_the_csv_on_disk(tmp_path, command, csv_name):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--output-dir", str(out)]) == 0
+    csv_path = out / csv_name
+    manifest = json.loads((out / f"{csv_path.stem}_manifest.json").read_text())
+    assert manifest["outputs"] == [{"path": csv_name, "sha256": hashlib.sha256(
+        csv_path.read_bytes()).hexdigest()}]
 
 
 @pytest.mark.parametrize("command", ["sweep-wavelength", "sweep-bandwidth", "map"])

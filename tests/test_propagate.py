@@ -300,13 +300,14 @@ def test_non_finite_generator_in_a_stack_fails_before_any_step(bad, monkeypatch)
     gens = np.stack([_unit_norm_generator(4, seed) for seed in range(70)])
     gens[-1, 1, 2] = bad
     h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LAMBDA0, 2)
-    # inf times a zero entry is NaN, which numpy reports as invalid
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericalError, match="1-norm"):
-            _propagate(gens, np.array([1.0, 0.0, 0.0, 0.0]), ZS)
-        with pytest.raises(NumericalError, match="1-norm"):
-            _lindblad_runs([h, h], [[0.1, 0.2], [0.3, bad]], 0.5, 1, 0,
-                           site_state(2, 0), ZS)
+    # inf times a step is a complex product with an inf times 0 in it, NaN,
+    # which numpy reports as invalid before the 1-norm check refuses it
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="1-norm"):
+        _propagate(gens, np.array([1.0, 0.0, 0.0, 0.0]), ZS)
+    # a bad rate is refused before any generator is built
+    with pytest.raises(ValueError, match="dephasing rate must be finite and non-negative"):
+        _lindblad_runs([h, h], [[0.1, 0.2], [0.3, bad]], 0.5, 1, 0,
+                       site_state(2, 0), ZS)
 
 
 def _unit_norm_generator(n, seed):
@@ -496,9 +497,10 @@ def _margins_run_by_run(rhos):
 
 
 def _screen_shift(rhos):
+    # the shift each matrix of a stack gets in the screen
     d = rhos.shape[-1]
     return 64 * d * d * np.finfo(float).eps * np.abs(
-        rhos.diagonal(axis1=-2, axis2=-1)).max()
+        rhos.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
 
 
 @pytest.mark.parametrize("name", ["map", "map-extended", "bandwidth"])
@@ -527,9 +529,9 @@ def test_min_eigenvalue_is_lapacks_on_perturbed_rank_deficient_stacks(d, factor)
     tau = _screen_shift(rhos)
     for idx in np.ndindex(rhos.shape[:2]):
         null = np.linalg.eigh(rhos[idx])[1][:, 0]
-        rhos[idx] += factor * tau * np.outer(null, null.conj())
+        rhos[idx] += factor * tau[idx] * np.outer(null, null.conj())
     eigs = np.linalg.eigvalsh(rhos).min(axis=-1)
-    certified = propagate._certified_positive(rhos.reshape(-1, d, d), tau)
+    certified = propagate._certified_positive(rhos.reshape(-1, d, d))
     assert np.all(eigs.ravel()[certified] > 0.0)
     assert _density_margins(rhos)["min_eigenvalue"] == float(eigs.min())
 
@@ -570,11 +572,34 @@ def test_a_small_negative_eigenvalue_is_recorded_in_any_chunk(run, z):
 
 
 def test_the_map_stack_sends_few_matrices_to_eigvalsh(cli_stacks, monkeypatch):
-    rhos = cli_stacks["map"]
     sizes = _spy_eigvalsh(monkeypatch)
-    _density_margins(rhos)
-    assert rhos.shape[0] * rhos.shape[1] == 3171
-    assert len(sizes) == 1 and 0 < sizes[0] <= 400
+    # each matrix's shift is set by its own diagonal: the long, strongly
+    # dephased runs of map --extended have decayed far below the start density
+    for name, size, most in [("map", 3171, 400), ("map-extended", 2121, 200)]:
+        rhos = cli_stacks[name]
+        sizes.clear()
+        _density_margins(rhos)
+        assert rhos.shape[0] * rhos.shape[1] == size
+        assert len(sizes) == 1 and 0 < sizes[0] <= most
+
+
+@pytest.mark.parametrize("negative", [0, 1, 2], ids=["scale-1", "scale-1e-35", "scale-1e-300"])
+def test_min_eigenvalue_is_lapacks_on_stacks_of_mixed_scale(negative):
+    # 3 runs x 30 z of 4x4 densities, run r scaled by 1, 1e-35 and 1e-300;
+    # one matrix of the negative run's scale has eigenvalue -1e-12 of it
+    rng = np.random.default_rng(5)
+    scales = np.array([1.0, 1e-35, 1e-300])
+    rhos = np.array([[s * _random_density(rng, 4, 4) for _ in range(30)] for s in scales])
+    modes = np.linalg.eigh(_random_density(rng, 4, 4))[1]
+    rhos[negative, 7] = scales[negative] * (
+        modes @ np.diag([0.5, 0.3, 0.2, -1e-12]) @ modes.conj().T)
+    certified = propagate._certified_positive(rhos.reshape(-1, 4, 4)).reshape(3, 30)
+    assert not certified[2].any()  # shifts below tiny/eps certify nothing
+    assert certified[:2].sum() >= 2 * 30 - 1
+    assert not certified[negative, 7]
+    least = _density_margins(rhos)["min_eigenvalue"]
+    assert least < 0.0
+    assert least == float(np.linalg.eigvalsh(rhos).min())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
