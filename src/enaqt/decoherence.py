@@ -255,7 +255,8 @@ class BandFit:
 
     @property
     def points(self) -> int:
-        """Chebyshev points sampled, one coherent run each."""
+        """The fit's size: its Chebyshev points and coefficients.  The band
+        fit's coherent runs can outnumber them (``band_fit``)."""
         return int(self.coeffs.size)
 
     def __call__(self, wavelengths_nm) -> np.ndarray:
@@ -296,19 +297,19 @@ def coherent_efficiency(net: NetworkSpec, wavelengths_nm, z_cm: float) -> np.nda
 def band_fit(net: NetworkSpec, spectrum: Spectrum, z_cm: float) -> BandFit:
     """Fit ``coherent_efficiency`` eta_coh over the spectrum's band.
 
-    Fits eta at n Chebyshev-Lobatto points in angular frequency, one
-    coherent run each, from n = ``FIT_FIRST_POINTS`` and going from n to
-    2n - 1 points, until the trailing quarter of the Chebyshev coefficients
-    is below ``FIT_TAIL`` (size chosen as in Aurentz and Trefethen,
-    "Chopping a Chebyshev series", ACM TOMS 43, 2017).  eta is a
-    probability, so the bound is absolute, and eta = 0 stops at the first
-    size.  The sizes nest: the first propagator call samples the size two
-    doublings on, where a call costs little more than at the first size,
-    and the smaller sizes are its every 4th and every 2nd point.  Each
-    later doubling runs only the new odd-index points.  So the runs can
-    exceed the fit's points by up to 3 (n - 1).  A fit that would need more
-    than ``FIT_MAX_POINTS`` points raises NumericalError.  A band of zero
-    width is the single run at its center.
+    Fits eta at n Chebyshev-Lobatto points in angular frequency, from
+    n = ``FIT_FIRST_POINTS`` and going from n to 2n - 1 points, until the
+    trailing quarter of the Chebyshev coefficients is below ``FIT_TAIL``
+    (size chosen as in Aurentz and Trefethen, "Chopping a Chebyshev
+    series", ACM TOMS 43, 2017).  eta is a probability, so the bound is
+    absolute, and eta = 0 stops at the first size.  The sizes nest: the
+    first propagator call samples the size three doublings on (129 points
+    from 17), where a call costs little more than at the first size, and
+    the smaller sizes are its every 8th, 4th and 2nd point.  Each later
+    doubling runs only the new odd-index points.  So the coherent runs can
+    exceed the fit's points by up to 112 (129 runs for a 17-point fit).  A
+    fit that would need more than ``FIT_MAX_POINTS`` points raises
+    NumericalError.  A band of zero width is the single run at its center.
     """
     w0, half = spectrum.center_angular_frequency, spectrum.half_band
 
@@ -317,9 +318,9 @@ def band_fit(net: NetworkSpec, spectrum: Spectrum, z_cm: float) -> BandFit:
 
     if half == 0.0:
         return BandFit(w0, 0.0, eta(np.zeros(1)), 0.0)
-    # the first call samples up to two doublings past the first size
+    # the first call samples up to three doublings past the first size
     n = sampled = FIT_FIRST_POINTS
-    for _ in range(2):
+    for _ in range(3):
         if 2 * sampled - 1 <= FIT_MAX_POINTS:
             sampled = 2 * sampled - 1
     samples = eta(_lobatto(sampled))

@@ -366,8 +366,9 @@ def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
     (runs, nz, n) and each z is one stacked product over a chunk of runs
     that holds at most ``STEP_STACK`` step matrices.  Each run's scaling
     exponent is set by the largest 1-norm of its own steps, before any
-    step is taken, and a chunk's runs of equal exponent are exponentiated
-    together, at most ``EXPM_STACK`` step matrices to an ``_expm`` call.
+    step is taken (a NaN or inf entry raises NumericalError there), and a
+    chunk's runs of equal exponent are exponentiated together, at most
+    ``EXPM_STACK`` step matrices to an ``_expm`` call.
     Every matrix of a call is scaled by the 2^-s it would get alone, and the
     stacked products treat each matrix apart, so every bit of a run's result
     is what that run alone would give.  A zero step is the identity and is
@@ -380,7 +381,14 @@ def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
     dz = dzs[moving, None, None]
     n_moving = dz.shape[0]
     step_index = np.cumsum(moving) - 1
-    exponents = np.array([_scaling_exponent(g * dz) for g in gens] if n_moving else [])
+    exponents = np.array([])
+    if n_moving:
+        # each run's largest 1-norm over its steps, all runs in one pass.  A
+        # stack with a NaN or inf entry is normed unscaled, so its bad run
+        # raises before g * dz, where inf * 0 would make numpy warn first
+        scaled = gens[:, None] * dz if np.isfinite(gens).all() else gens
+        norms = np.abs(scaled).sum(axis=-2).reshape(gens.shape[0], -1).max(axis=1)
+        exponents = np.array([_scaling_exponent(norm) for norm in norms.tolist()])
     starts = np.broadcast_to(v, gens.shape[:2])
     out = np.empty((gens.shape[0], zs.size, gens.shape[1]), dtype=complex)
     per_chunk = max(1, STEP_STACK // max(1, n_moving))
@@ -409,11 +417,10 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def _scaling_exponent(stack: np.ndarray) -> int:
-    """The s of the scaling 2^-s that brings the largest 1-norm of a stack
-    within theta_13: the least s >= 0, 0 for a zero stack.  A NaN or inf
-    entry raises NumericalError."""
-    norm = float(np.abs(stack).sum(axis=-2).max())
+def _scaling_exponent(norm: float) -> int:
+    """The s of the scaling 2^-s that brings a 1-norm within theta_13: the
+    least s >= 0, 0 for a zero norm.  A NaN or inf norm raises
+    NumericalError."""
     if not math.isfinite(norm):
         raise NumericalError(f"cannot exponentiate a generator of 1-norm {norm}")
     return max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
@@ -422,9 +429,9 @@ def _scaling_exponent(stack: np.ndarray) -> int:
 def _expm(stack: np.ndarray, s: Optional[int] = None) -> np.ndarray:
     """exp(A) for each A of a stack: Pade-13 scaling and squaring (Higham's
     Algorithm 2.3), one scaling 2^-s for the stack, by default the
-    ``_scaling_exponent`` of the stack."""
+    ``_scaling_exponent`` of its largest 1-norm."""
     if s is None:
-        s = _scaling_exponent(stack)
+        s = _scaling_exponent(float(np.abs(stack).sum(axis=-2).max()))
     a = stack / 2.0 ** s
     a2 = a @ a
     a4 = a2 @ a2
@@ -460,8 +467,8 @@ def evolve_trapped(h: HamiltonianMatrix, kappa: float, target: int,
 
 def _trapped_hamiltonian(h: HamiltonianMatrix, kappa: float, target: int) -> np.ndarray:
     """H - i(kappa/2)|t><t|: the generator of irreversible trapping on t."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be non-negative, got {kappa}")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
     if not 0 <= target < h.dimension:
         raise ValueError(f"target {target} out of range")
     h_eff = h.entries.astype(complex)

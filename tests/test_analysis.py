@@ -229,42 +229,54 @@ def test_band_fit_stopped_early_misses_the_bound(design_net, direct_ensembles,
     assert gap > 1e-12
 
 
+def _record_kernel_calls(monkeypatch):
+    """The wavelengths of each call band_fit makes to the propagator."""
+    calls = []
+    kernel = decoherence._wavelength_amplitudes
+
+    def recording(net, wavelengths, amps, z, rows=None):
+        calls.append(np.asarray(wavelengths).tolist())
+        return kernel(net, wavelengths, amps, z, rows)
+
+    monkeypatch.setattr(decoherence, "_wavelength_amplitudes", recording)
+    return calls
+
+
 def test_band_fit_runs_each_point_once(design_net, monkeypatch):
     # doubling nests the points: the wavelengths of one sweep are the fit's
     # points, each handed to the propagator once
-    lams = []
-    kernel = decoherence._wavelength_amplitudes
-
-    def counting(net, wavelengths, amps, z, rows=None):
-        lams.extend(np.asarray(wavelengths).tolist())
-        return kernel(net, wavelengths, amps, z, rows)
-
-    monkeypatch.setattr(decoherence, "_wavelength_amplitudes", counting)
+    calls = _record_kernel_calls(monkeypatch)
     res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 15.0, nodes=41,
                           sensitivity=0.0)
+    lams = [lam for call in calls for lam in call]
     assert len(lams) == res.metadata["ensemble_fit"]["points"]
     assert len(set(lams)) == len(lams)
     assert len(lams) > decoherence.FIT_FIRST_POINTS
 
 
-def test_band_fit_bundled_sweep_takes_two_propagator_calls(design_net, monkeypatch):
-    # the first call samples 65 points, which hold the sizes 17 and 33; the
-    # one doubling past it runs only the 64 new points
-    widths = []
-    kernel = decoherence._wavelength_amplitudes
-
-    def counting(net, wavelengths, amps, z, rows=None):
-        widths.append(len(wavelengths))
-        return kernel(net, wavelengths, amps, z, rows)
-
-    monkeypatch.setattr(decoherence, "_wavelength_amplitudes", counting)
+def test_band_fit_bundled_sweep_takes_one_propagator_call(design_net, monkeypatch):
+    # the first call samples 129 points, which hold the sizes 17, 33 and 65,
+    # and the fit converges at 129
+    calls = _record_kernel_calls(monkeypatch)
     res = sweep_bandwidth(design_net, DEFAULT_BANDWIDTHS, 15.0, nodes=41, sensitivity=0.0)
     assert res.metadata["ensemble_fit"]["points"] == 129
-    assert widths == [65, 64]
+    assert [len(lams) for lams in calls] == [129]
+
+
+def test_band_fit_past_the_first_call_runs_only_new_points(design_net, monkeypatch):
+    # a 150 nm band needs 257 points: one doubling past the 129 sampled, which
+    # runs only the 128 new points, and each wavelength once
+    calls = _record_kernel_calls(monkeypatch)
+    fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 150.0), 15.0)
+    assert [len(lams) for lams in calls] == [129, 128]
+    assert fit.points == 257
+    assert fit.tail < decoherence.FIT_TAIL
+    lams = [lam for call in calls for lam in call]
+    assert len(set(lams)) == len(lams)
 
 
 def test_band_fit_converges_on_a_nested_subset(design_net, monkeypatch):
-    # a 20 nm band converges at 33 points, every 2nd point of the 65 sampled,
+    # a 20 nm band converges at 33 points, every 4th point of the 129 sampled,
     # with the coefficients of those 33 samples alone
     samples = []
     efficiency = decoherence.coherent_efficiency
@@ -275,9 +287,9 @@ def test_band_fit_converges_on_a_nested_subset(design_net, monkeypatch):
 
     monkeypatch.setattr(decoherence, "coherent_efficiency", recording)
     fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 20.0), 15.0)
-    assert [s.size for s in samples] == [65]
+    assert [s.size for s in samples] == [129]
     assert fit.points == 33
-    assert np.array_equal(fit.coeffs, decoherence._lobatto_coefficients(samples[0][::2]))
+    assert np.array_equal(fit.coeffs, decoherence._lobatto_coefficients(samples[0][::4]))
 
 
 def test_band_fit_degenerate_cases(design_net):

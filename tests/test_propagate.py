@@ -125,6 +125,14 @@ def test_dark_state_never_trapped(h_system, design_kappa):
 def test_trapped_rejects_negative_kappa(h_system):
     with pytest.raises(ValueError):
         evolve_trapped(h_system, -0.1, 2, site_state(4, 0), [1.0])
+    # a NaN passes kappa < 0, and NaN and inf used to fail only at the 1-norm
+    # check, with NumericalError
+    psi0 = site_state(4, 0)
+    for kappa in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+            evolve_trapped(h_system, kappa, 2, psi0, [1.0])
+        with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+            evolve_lindblad(h_system, kappa, 2, 0.1, 0, psi0, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +308,9 @@ def test_non_finite_generator_in_a_stack_fails_before_any_step(bad, monkeypatch)
     gens = np.stack([_unit_norm_generator(4, seed) for seed in range(70)])
     gens[-1, 1, 2] = bad
     h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LAMBDA0, 2)
-    # inf times a step is a complex product with an inf times 0 in it, NaN,
-    # which numpy reports as invalid before the 1-norm check refuses it
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="1-norm"):
+    # refused before any generator is scaled by a step: inf times a step is
+    # a complex product with an inf times 0 in it, which numpy reports as invalid
+    with pytest.raises(NumericalError, match="1-norm"):
         _propagate(gens, np.array([1.0, 0.0, 0.0, 0.0]), ZS)
     # a bad rate is refused before any generator is built
     with pytest.raises(ValueError, match="dephasing rate must be finite and non-negative"):
@@ -877,7 +885,7 @@ def test_density_state_validation():
         with pytest.raises(ValueError, match=message):
             evolve_lindblad(h, 0.0, 0, 0.0, 1, rho0, [1.0])
     # trapping rate and sites are checked where the trapping generator is built
-    with pytest.raises(ValueError, match="kappa must be non-negative"):
+    with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
         evolve_lindblad(h, -1.0, 0, 0.0, 1, site_state(2, 0), [1.0])
     for target, dephasing_site in [(2, 1), (0, 2)]:
         with pytest.raises(ValueError, match="out of range"):
