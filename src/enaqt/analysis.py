@@ -24,8 +24,7 @@ import numpy as np
 
 from .calibration import effective_trap_rate
 from .config import ConfigError, NumericsConfig, wavelength_grid  # grid rule, re-exported
-from .decoherence import (Spectrum, band_fit, coherent_efficiency, decoherence_strength,
-                          spectral_nodes)
+from .decoherence import Spectrum, band_fit, coherent_efficiency, decoherence_strength
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
 from .propagate import _eigh, _lindblad_runs, site_state
 
@@ -189,7 +188,6 @@ def dephasing_site(net: NetworkSpec) -> int:
 
 
 def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: float,
-                    nodes: int = NumericsConfig.ensemble_nodes,
                     sensitivity: float = NumericsConfig.sensitivity_fraction) -> SweepResult:
     """Transport enhancement versus illumination bandwidth, both routes.
 
@@ -205,22 +203,20 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     Each quantity is computed once.  Every tophat averages the same smooth
     eta_coh(omega) over a nested band about the center, so one Chebyshev
     fit over the widest band (``band_fit``) replaces the coherent runs:
-    each ensemble efficiency is sum_k w_k fit(lambda_k) over that
-    bandwidth's ``nodes`` Gauss-Legendre nodes, and the metadata records
-    the fit's size and tail as ``ensemble_fit``; the fit is evaluated once,
-    on every bandwidth's nodes together.  There is one gamma per bandwidth,
-    scaled with the detuning for the sensitivity runs (gamma is proportional
-    to it), and every (detuning scale, gamma) run of the dephasing route is
-    one master-equation stack over z in {0, z_cm}, whose density margins the
-    metadata records as ``diagnostics.lindblad``.  A zero bandwidth on the
-    grid doubles as the reference.  ``nodes`` and ``sensitivity`` are
-    ``numerics.ensemble_nodes`` and ``numerics.sensitivity_fraction`` and
-    are refused outside their ranges.
+    each ensemble efficiency is the fit's exact mean over that bandwidth's
+    band (``BandFit.mean``), and the metadata records the fit's size and
+    tail as ``ensemble_fit``.  There is one gamma per bandwidth, scaled
+    with the detuning for the sensitivity runs (gamma is proportional to
+    it), and every (detuning scale, gamma) run of the dephasing route is
+    one master-equation stack over z in {0, z_cm}, whose density margins
+    the metadata records as ``diagnostics.lindblad``.  A zero bandwidth on
+    the grid doubles as the reference.  ``sensitivity`` is
+    ``numerics.sensitivity_fraction`` and is refused outside its range.
     """
-    NumericsConfig(ensemble_nodes=nodes, sensitivity_fraction=sensitivity)
+    NumericsConfig(sensitivity_fraction=sensitivity)
     bws = np.asarray(bandwidths_nm, dtype=float)
-    if np.any(bws < 0):
-        raise ValueError("bandwidths must be non-negative")
+    if not np.all(np.isfinite(bws) & (bws >= 0)):
+        raise ValueError("bandwidths must be finite and non-negative")
     kap = effective_kappa(net)
     lam0 = net.dispersion.lambda0_nm
     delta_beta = net.dispersion.detuning0_per_cm
@@ -240,16 +236,13 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
         return _relative_enhancement(etas[rows], etas[ref])
 
     fit = band_fit(net, Spectrum.tophat(lam0, float(points.max())), z_cm)
-    # every bandwidth's nodes through the fit at once; chebval is pointwise
-    quadratures = [spectral_nodes(Spectrum.tophat(lam0, float(b)), nodes) for b in points]
-    values = np.split(fit(np.concatenate([lams for lams, _ in quadratures])),
-                      np.cumsum([lams.size for lams, _ in quadratures])[:-1])
-    eta_ens = np.array([float(weights @ vals)
-                        for (_, weights), vals in zip(quadratures, values)])
+    eta_ens = fit.mean([Spectrum.tophat(lam0, float(b)).half_band for b in points])
 
     # every (detuning scale, gamma) pair in one stack of master-equation runs
-    # at z in {0, z_cm}; scaling every detuning by one factor keeps the most
-    # detuned site, so the dephasing site is the nominal network's
+    # at z in {0, z_cm}: the z = 0 row is the launch state, the only row that
+    # lets the density check see a propagator that scales every density.
+    # Scaling every detuning by one factor keeps the most detuned site, so
+    # the dephasing site is the nominal network's
     scales = (1.0, 1.0 - sensitivity, 1.0 + sensitivity) if sensitivity else (1.0,)
     hams = [build_hamiltonian(_scale_detuning(net, s), lam0, include_sink=False)
             for s in scales]
@@ -271,7 +264,7 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
         columns["enaqt_lindblad_high"] = np.maximum(e_lo, e_hi)
 
     md = _base_metadata(
-        net, z_cm=z_cm, nodes=nodes, kappa_per_cm=kap, sensitivity=sensitivity,
+        net, z_cm=z_cm, kappa_per_cm=kap, sensitivity=sensitivity,
         ensemble_fit={"points": fit.points, "tail": fit.tail},
         diagnostics={"lindblad": margins},
         measured_reference={

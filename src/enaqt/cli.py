@@ -118,11 +118,9 @@ def _sweep_wavelength(config: RunConfig, args):
 
 def _sweep_bandwidth(config: RunConfig, args):
     exp = config.experiment
-    num = config.numerics
     bws = wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm)
     result = analysis.sweep_bandwidth(config.network, bws, exp.z_cm,
-                                      nodes=num.ensemble_nodes,
-                                      sensitivity=num.sensitivity_fraction)
+                                      sensitivity=config.numerics.sensitivity_fraction)
     return result, "bandwidth_sweep.csv", "sweep-bandwidth"
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebint, chebval
 from numpy.polynomial.legendre import leggauss
 
 from .lattice import NetworkSpec
@@ -79,10 +79,10 @@ class Spectrum:
     def __post_init__(self):
         if self.shape not in SPECTRUM_SHAPES:
             raise ValueError(f"shape must be one of {SPECTRUM_SHAPES}, got {self.shape!r}")
-        if self.center_nm <= 0:
-            raise ValueError(f"center_nm must be positive, got {self.center_nm}")
-        if self.fwhm_nm < 0:
-            raise ValueError(f"fwhm_nm must be non-negative, got {self.fwhm_nm}")
+        if not 0 < self.center_nm < math.inf:
+            raise ValueError(f"center_nm must be finite and positive, got {self.center_nm}")
+        if not 0 <= self.fwhm_nm < math.inf:
+            raise ValueError(f"fwhm_nm must be finite and non-negative, got {self.fwhm_nm}")
 
     @classmethod
     def tophat(cls, center_nm: float, fwhm_nm: float) -> "Spectrum":
@@ -244,8 +244,8 @@ class BandFit:
     the angular band ``center +- half_width`` (rad/s).
 
     Called on wavelengths (nm) inside the band, it returns the interpolant
-    there.  ``tail`` is the largest coefficient of the trailing quarter:
-    the size of what the fit leaves out.
+    there; ``mean`` averages it over nested bands.  ``tail`` is the largest
+    coefficient of the trailing quarter: the size of what the fit leaves out.
     """
 
     center: float
@@ -265,6 +265,19 @@ class BandFit:
         if np.any(np.abs(x) > 1.0 + 1e-9):
             raise ValueError("wavelength outside the fitted band")
         return chebval(x, self.coeffs)
+
+    def mean(self, half_bands) -> np.ndarray:
+        """Exact means over the nested bands ``center +- half_band`` (rad/s)
+        of ``half_bands``: (F(t) - F(-t)) / 2t at t = half_band / half_width,
+        F the Chebyshev antiderivative (Clenshaw-Curtis; Trefethen, ATAP
+        ch. 19), and the value at the center for a zero half-band."""
+        half_bands = np.asarray(half_bands, dtype=float)
+        if np.any(half_bands > self.half_width * (1.0 + 1e-9)):
+            raise ValueError("band outside the fitted band")
+        t = half_bands / self.half_width if self.half_width else np.zeros_like(half_bands)
+        ends = chebval(np.stack((t, -t)), chebint(self.coeffs))
+        return np.where(t == 0.0, chebval(0.0, self.coeffs),
+                        (ends[0] - ends[1]) / (2.0 * np.where(t == 0.0, 1.0, t)))
 
 
 def _lobatto(n: int) -> np.ndarray:

@@ -674,39 +674,35 @@ class NoReturnReport:
         return self.end_population_ok and self.system_shift_ok
 
 
-def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float,
-                         wavelength_nm: Optional[float] = None,
-                         z_step: float = 0.1,
-                         n_extra: int = 5) -> NoReturnReport:
+def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float) -> NoReturnReport:
     """Check that light entering the sink never makes it back.
 
-    Two observables over z in [0, z_max]: the population reaching the last
-    sink guide (the wavefront must die out before the boundary) and the
-    change in system-site populations when the chain is extended by
-    ``n_extra`` guides (a direct measure of boundary influence).  Either
-    exceeding ``threshold`` (``numerics.no_return_threshold``) flags the
-    chain as too short.
+    Two observables over z in [0, z_max], at the center wavelength: the
+    population reaching the last sink guide (the wavefront must die out
+    before the boundary) and the change in system-site populations when
+    the chain is extended by five guides (a direct measure of boundary
+    influence).  Either exceeding ``threshold``
+    (``numerics.no_return_threshold``) flags the chain as too short.
     """
     if net.sink is None:
         raise ValueError("network has no explicit sink to check")
-    lam = wavelength_nm if wavelength_nm is not None else net.dispersion.lambda0_nm
     if not z_max >= 0:
         raise ValueError(f"z_max must be non-negative, got {z_max}")
-    # the z_step grid, ending at z_max itself where z_max is off it
-    zs = np.arange(0.0, z_max + 0.5 * z_step, z_step)
+    # a 0.1 cm grid, ending at z_max itself where z_max is off it
+    zs = np.arange(0.0, z_max + 0.05, 0.1)
     if zs[-1] < z_max:
         zs = np.append(zs, z_max)
 
     def run(spec: NetworkSpec):
         # the system guides, then the last sink guide
-        h = build_hamiltonian(spec, lam)
+        h = build_hamiltonian(spec, net.dispersion.lambda0_nm)
         psi0 = site_state(h.dimension, spec.input_site)
         guides = np.append(np.arange(spec.n_sites), h.dimension - 1)
         return np.abs(_unitary_amplitudes(h, psi0, zs, guides)) ** 2
 
     pops = run(net)
     longer = dataclasses.replace(
-        net, sink=dataclasses.replace(net.sink, n_sink=net.sink.n_sink + n_extra))
+        net, sink=dataclasses.replace(net.sink, n_sink=net.sink.n_sink + 5))
     pops_longer = run(longer)
 
     return NoReturnReport(

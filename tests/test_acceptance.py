@@ -142,7 +142,7 @@ def test_criterion_07_monotonic_enhancement(h_system):
         assert np.all(np.diff(etas) >= 0.0)
 
         net = enaqt4_network()
-        res = sweep_bandwidth(net, [0.0, 20.0], 15.0, nodes=21, sensitivity=0.0)
+        res = sweep_bandwidth(net, [0.0, 20.0], 15.0, sensitivity=0.0)
         assert res.column("enaqt_ensemble")[0] == pytest.approx(0.0, abs=1e-12)
         assert res.column("enaqt_lindblad")[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -178,7 +178,7 @@ def test_criterion_09_sweep_anchors():
         #     reference (7.6 +- 1.2 % at 95 nm) is carried in the metadata,
         #     not asserted numerically, since it depends on unmeasured
         #     device dispersion
-        res = sweep_bandwidth(net, [0.0, 45.0, 95.0], 15.0, nodes=21,
+        res = sweep_bandwidth(net, [0.0, 45.0, 95.0], 15.0,
                               sensitivity=0.0)
         ens = res.column("enaqt_ensemble")
         assert np.all(np.diff(ens) > 0)

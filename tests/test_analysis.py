@@ -147,7 +147,7 @@ def test_sweep_result_csv_round_trip(tmp_path):
 
 def test_bandwidth_sweep_shape_and_monotonicity(design_net):
     bws = np.array([0.0, 45.0, 95.0])
-    result = sweep_bandwidth(design_net, bws, 15.0, nodes=21, sensitivity=0.1)
+    result = sweep_bandwidth(design_net, bws, 15.0, sensitivity=0.1)
     ens = result.column("enaqt_ensemble")
     lind = result.column("enaqt_lindblad")
     assert ens[0] == pytest.approx(0.0, abs=1e-12)
@@ -174,7 +174,6 @@ def test_bandwidth_sweep_shape_and_monotonicity(design_net):
     ({"sensitivity": 1.5}, "sensitivity_fraction"),
     ({"sensitivity": -0.5}, "sensitivity_fraction"),
     ({"sensitivity": 1.0}, "sensitivity_fraction"),
-    ({"nodes": 0}, "ensemble_nodes"),
 ])
 def test_bandwidth_sweep_refuses_numerics_outside_their_range(design_net, monkeypatch,
                                                               kwargs, key):
@@ -183,6 +182,26 @@ def test_bandwidth_sweep_refuses_numerics_outside_their_range(design_net, monkey
     monkeypatch.setattr(analysis, "_lindblad_runs", _must_not_run)
     with pytest.raises(ValueError, match=rf"^numerics\.{key}: "):
         sweep_bandwidth(design_net, [0.0, 45.0], 15.0, **kwargs)
+
+
+@pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+def test_bandwidth_sweep_refuses_non_finite_bandwidths(design_net, monkeypatch, bandwidth):
+    monkeypatch.setattr(analysis, "band_fit", _must_not_run)
+    monkeypatch.setattr(analysis, "_lindblad_runs", _must_not_run)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        sweep_bandwidth(design_net, [0.0, bandwidth], 15.0)
+
+
+def test_ensemble_column_is_the_exact_band_mean(design_net):
+    # a 201-node Gauss rule on the coherent runs themselves is exact to degree
+    # 401, past the 257-point fit of a 150 nm band; a 41-node rule is ~5e-9 off
+    bws = [0.0, 75.0, 150.0]
+    res = sweep_bandwidth(design_net, bws, 15.0, sensitivity=0.0)
+    assert res.metadata["ensemble_fit"]["points"] == 257
+    for bw, eta in zip(bws[1:], res.column("efficiency_ensemble")[1:]):
+        lams, weights = spectral_nodes(Spectrum.tophat(LAMBDA0, bw), 201)
+        reference = float(weights @ decoherence.coherent_efficiency(design_net, lams, 15.0))
+        assert abs(eta - reference) < 1e-12, bw
 
 
 def test_ensemble_is_weighted_sum_of_coherent_sweep(design_net):
@@ -207,7 +226,7 @@ def direct_ensembles(design_net):
 
 
 def _fit_gap(net, direct):
-    res = sweep_bandwidth(net, DEFAULT_BANDWIDTHS, 15.0, nodes=41, sensitivity=0.0)
+    res = sweep_bandwidth(net, DEFAULT_BANDWIDTHS, 15.0, sensitivity=0.0)
     gap = float(np.max(np.abs(res.column("efficiency_ensemble") - direct)))
     return gap, res.metadata["ensemble_fit"]
 
@@ -246,7 +265,7 @@ def test_band_fit_runs_each_point_once(design_net, monkeypatch):
     # doubling nests the points: the wavelengths of one sweep are the fit's
     # points, each handed to the propagator once
     calls = _record_kernel_calls(monkeypatch)
-    res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 15.0, nodes=41,
+    res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 15.0,
                           sensitivity=0.0)
     lams = [lam for call in calls for lam in call]
     assert len(lams) == res.metadata["ensemble_fit"]["points"]
@@ -258,7 +277,7 @@ def test_band_fit_bundled_sweep_takes_one_propagator_call(design_net, monkeypatc
     # the first call samples 129 points, which hold the sizes 17, 33 and 65,
     # and the fit converges at 129
     calls = _record_kernel_calls(monkeypatch)
-    res = sweep_bandwidth(design_net, DEFAULT_BANDWIDTHS, 15.0, nodes=41, sensitivity=0.0)
+    res = sweep_bandwidth(design_net, DEFAULT_BANDWIDTHS, 15.0, sensitivity=0.0)
     assert res.metadata["ensemble_fit"]["points"] == 129
     assert [len(lams) for lams in calls] == [129]
 
@@ -295,7 +314,7 @@ def test_band_fit_converges_on_a_nested_subset(design_net, monkeypatch):
 def test_band_fit_degenerate_cases(design_net):
     # zero bandwidth only: one coherent run, the reference row itself
     psi0 = site_state(design_net.dimension, design_net.input_site)
-    res = sweep_bandwidth(design_net, [0.0], 15.0, nodes=41, sensitivity=0.0)
+    res = sweep_bandwidth(design_net, [0.0], 15.0, sensitivity=0.0)
     assert res.metadata["ensemble_fit"] == {"points": 1, "tail": 0.0}
     assert res.column("enaqt_ensemble")[0] == 0.0
     center = ensemble_average(design_net, Spectrum.tophat(LAMBDA0, 0.0), psi0, 15.0, nodes=41)
@@ -315,7 +334,7 @@ def test_enhancements_are_zero_at_zero_length(design_net):
     # nothing is trapped at z = 0: every enhancement is 0, not 0/0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 0.0, nodes=21)
+        res = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 0.0)
         grid = enaqt_map(design_net, [0.0], [0.0, 0.01])
     columns = [name for name in res.columns if name.startswith("enaqt_")]
     assert len(columns) == 4

@@ -181,6 +181,20 @@ def test_workers_flag_is_byte_stable(tmp_path, monkeypatch, command):
     assert blobs[1] == blobs[2]
 
 
+def test_bandwidth_sweep_ignores_the_ensemble_node_count(tmp_path):
+    # the ensemble column is the band fit's exact mean, not a node sum
+    blobs = []
+    for nodes in (3, 41):
+        cfg = small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["numerics"]["ensemble_nodes"] = nodes
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / f"n{nodes}"
+        assert main(["sweep-bandwidth", str(cfg), "--output-dir", str(out)]) == 0
+        blobs.append((out / "bandwidth_sweep.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 @pytest.mark.parametrize("command", ["map", "sweep-bandwidth"])
 def test_unphysical_lindblad_output_exits_3_without_csv(tmp_path, monkeypatch,
                                                         capsys, command):

@@ -9,6 +9,7 @@ from enaqt import (DispersionModel, NetworkSpec, Spectrum,
                    build_hamiltonian, coherence_decay_pair, coherence_time,
                    decoherence_strength, ensemble_average, evolve_unitary, g1,
                    site_state, spectral_nodes, tophat_gamma_closed_form)
+from enaqt import decoherence
 from conftest import LAMBDA0
 
 DESIGN_TOPHAT = Spectrum.tophat(LAMBDA0, 95.0)
@@ -39,6 +40,29 @@ def test_spectrum_validation():
         Spectrum.tophat(-1.0, 10.0)
     with pytest.raises(ValueError):
         Spectrum.gaussian(800.0, -1.0)
+
+
+@pytest.mark.parametrize("center, fwhm", [
+    (800.0, math.nan), (800.0, math.inf), (math.nan, 10.0), (math.inf, 10.0)])
+def test_spectrum_refuses_non_finite_center_or_width(center, fwhm):
+    with pytest.raises(ValueError, match="must be finite"):
+        Spectrum.tophat(center, fwhm)
+
+
+# ---------------------------------------------------------------------------
+# the band fit's exact mean
+
+def test_band_fit_mean_is_exact_for_a_polynomial():
+    # p(x) = 1 + 2x + 3x^2 + 4x^3 averages to 1 + t^2 over [-t, t]
+    coeffs = np.polynomial.chebyshev.poly2cheb([1.0, 2.0, 3.0, 4.0])
+    fit = decoherence.BandFit(center=2.4e15, half_width=8.0e13, coeffs=coeffs, tail=0.0)
+    t = np.array([0.0, 0.25, 0.5, 1.0])
+    assert np.max(np.abs(fit.mean(t * fit.half_width) - (1.0 + t * t))) < 1e-14
+    with pytest.raises(ValueError, match="outside the fitted band"):
+        fit.mean([0.0, 1.01 * fit.half_width])
+    # a fit of zero width is its one value
+    point = decoherence.BandFit(center=2.4e15, half_width=0.0, coeffs=np.array([0.3]), tail=0.0)
+    assert point.mean([0.0]).tolist() == [0.3]
 
 
 # ---------------------------------------------------------------------------

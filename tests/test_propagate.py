@@ -288,7 +288,7 @@ def test_cli_stacks_exponentiate_in_capped_calls(monkeypatch):
     sizes = _count_expm_calls(monkeypatch)
     analysis.sweep_bandwidth(
         net, wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm),
-        exp.z_cm, nodes=num.ensemble_nodes, sensitivity=num.sensitivity_fraction)
+        exp.z_cm, sensitivity=num.sensitivity_fraction)
     assert len(sizes) == 4 and sum(sizes) == 60
     assert max(sizes) <= propagate.EXPM_STACK
     sizes.clear()
@@ -487,7 +487,7 @@ def cli_stacks():
                            wavelength_grid(0.0, 0.0, 0.5, 0.025))
         analysis.sweep_bandwidth(
             net, wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm),
-            exp.z_cm, nodes=num.ensemble_nodes, sensitivity=num.sensitivity_fraction)
+            exp.z_cm, sensitivity=num.sensitivity_fraction)
     return dict(zip(["map", "map-extended", "bandwidth"], stacks))
 
 
