@@ -19,6 +19,11 @@ import numpy as np
 DETUNING_LAWS = ("inverse-lambda", "constant")
 
 
+def _check_wavelength(wavelength_nm: float) -> None:
+    if not 0 < wavelength_nm < math.inf:  # a NaN fails it too
+        raise ValueError(f"wavelength must be finite and positive, got {wavelength_nm}")
+
+
 @dataclass(frozen=True)
 class DispersionModel:
     """Wavelength dependence of detunings and couplings.
@@ -36,8 +41,11 @@ class DispersionModel:
     coupling_slope_per_nm: float = 0.01
 
     def __post_init__(self):
-        if self.lambda0_nm <= 0:
-            raise ValueError(f"lambda0_nm must be positive, got {self.lambda0_nm}")
+        if not 0 < self.lambda0_nm < math.inf:
+            raise ValueError(f"lambda0_nm must be finite and positive, got {self.lambda0_nm}")
+        for name in ("detuning0_per_cm", "coupling_slope_per_nm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.detuning_law not in DETUNING_LAWS:
             raise ValueError(
                 f"detuning_law must be one of {DETUNING_LAWS}, got {self.detuning_law!r}"
@@ -45,16 +53,14 @@ class DispersionModel:
 
     def detuning_scale(self, wavelength_nm: float) -> float:
         """Multiplier applied to every site detuning at this wavelength."""
-        if wavelength_nm <= 0:
-            raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
+        _check_wavelength(wavelength_nm)
         if self.detuning_law == "inverse-lambda":
             return self.lambda0_nm / wavelength_nm
         return 1.0
 
     def coupling_scale(self, wavelength_nm: float) -> float:
         """Multiplier applied to every coupling at this wavelength."""
-        if wavelength_nm <= 0:
-            raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
+        _check_wavelength(wavelength_nm)
         return math.exp(self.coupling_slope_per_nm * (wavelength_nm - self.lambda0_nm))
 
 
@@ -70,10 +76,9 @@ class SinkSpec:
     def __post_init__(self):
         if self.n_sink < 1:
             raise ValueError(f"n_sink must be >= 1, got {self.n_sink}")
-        if self.c_trap_per_cm <= 0:
-            raise ValueError(f"c_trap_per_cm must be positive, got {self.c_trap_per_cm}")
-        if self.c_sink_per_cm <= 0:
-            raise ValueError(f"c_sink_per_cm must be positive, got {self.c_sink_per_cm}")
+        for name in ("c_trap_per_cm", "c_sink_per_cm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +237,6 @@ def build_hamiltonian(net: NetworkSpec, wavelength_nm: float,
     common offset would be a global phase, and populations depend on
     detuning differences alone.
     """
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
     disp = net.dispersion
     detunings, couplings = hamiltonian_parts(net, include_sink)
     h = disp.coupling_scale(wavelength_nm) * couplings

@@ -31,6 +31,10 @@ STEP_STACK = 64
 # (~1 MiB for 16 x 16 Liouvillians) then stay within one core's L2 cache, and
 # the memory a call needs stays small
 EXPM_STACK = 16
+# the bounds past which _check_density_stack calls a density stack unphysical
+MAX_TRACE_INCREASE = 1e-9
+MIN_EIGENVALUE = -1e-9
+MAX_HERMITICITY_ERROR = 1e-10
 
 
 class NumericalError(RuntimeError):
@@ -65,10 +69,10 @@ def _as_zgrid(z_grid) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if zs.ndim != 1 or zs.size == 0:
         raise ValueError("z grid must be a non-empty 1-d array")
+    if not (zs.min() >= 0 and zs.max() < math.inf):  # a NaN fails both
+        raise ValueError("z must be finite and non-negative")
     if np.any(np.diff(zs) < 0):
         raise ValueError("z grid must be non-decreasing")
-    if zs[0] < 0:
-        raise ValueError("z must be non-negative")
     return zs
 
 
@@ -266,12 +270,14 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     entry is an exact zero or never reaches a returned row.  The term
     count grows with a z, so a wavelength with a z above
     ``SERIES_MAX_ARGUMENT`` goes through ``_unitary_amplitudes`` instead.  A
-    non-finite result raises NumericalError.
+    non-finite result raises NumericalError.  No wavelengths give no rows.
     """
     lams = np.asarray(lams, dtype=float)
-    if not z >= 0:
-        raise ValueError(f"z must be non-negative, got {z}")
+    if not 0 <= z < math.inf:
+        raise ValueError(f"z must be finite and non-negative, got {z}")
     keep = amps.size if rows is None else rows
+    if lams.size == 0:
+        return np.empty((0, keep), dtype=complex)
     disp = net.dispersion
     detunings, couplings = hamiltonian_parts(net)
     cscale = np.array([disp.coupling_scale(lam) for lam in lams])
@@ -556,17 +562,17 @@ def _certified_positive(stack: np.ndarray) -> np.ndarray:
 
 def _check_density_stack(rhos: np.ndarray) -> Dict[str, float]:
     """The ``_density_margins`` of a stack of runs; raise NumericalError on
-    a NaN or infinite entry, on trace growth or a negative eigenvalue
-    beyond 1e-9, or on a Hermiticity error beyond 1e-10."""
+    a NaN or infinite entry, or on a margin past its bound:
+    ``MAX_TRACE_INCREASE``, ``MIN_EIGENVALUE`` or ``MAX_HERMITICITY_ERROR``."""
     if not np.all(np.isfinite(rhos)):
         raise NumericalError("density stack is not finite")
     margins = _density_margins(rhos)
-    if margins["max_trace_increase"] > 1e-9:
+    if margins["max_trace_increase"] > MAX_TRACE_INCREASE:
         raise NumericalError(f"density trace grows by {margins['max_trace_increase']:.3e}")
-    if margins["max_hermiticity_error"] > 1e-10:
+    if margins["max_hermiticity_error"] > MAX_HERMITICITY_ERROR:
         raise NumericalError("density matrix is not Hermitian "
                              f"(error {margins['max_hermiticity_error']:.3e})")
-    if margins["min_eigenvalue"] < -1e-9:
+    if margins["min_eigenvalue"] < MIN_EIGENVALUE:
         raise NumericalError(f"density matrix has eigenvalue {margins['min_eigenvalue']:.3e}")
     return margins
 
@@ -686,8 +692,8 @@ def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float) -> No
     """
     if net.sink is None:
         raise ValueError("network has no explicit sink to check")
-    if not z_max >= 0:
-        raise ValueError(f"z_max must be non-negative, got {z_max}")
+    if not 0 <= z_max < math.inf:
+        raise ValueError(f"z_max must be finite and non-negative, got {z_max}")
     # a 0.1 cm grid, ending at z_max itself where z_max is off it
     zs = np.arange(0.0, z_max + 0.05, 0.1)
     if zs[-1] < z_max:

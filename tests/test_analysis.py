@@ -109,6 +109,15 @@ def test_sweep_flat_without_dispersion():
     assert np.max(np.abs(etas - etas[0])) < 1e-12
 
 
+def test_sweeps_of_no_wavelengths_have_no_rows(design_net):
+    # the wavelength sweep used to fail in the Bessel table of no arguments,
+    # while the bandwidth sweep and the map already gave no rows
+    assert len(sweep_wavelength(design_net, [], 15.0).column("efficiency")) == 0
+    assert decoherence.coherent_efficiency(design_net, [], 15.0).shape == (0,)
+    assert len(sweep_bandwidth(design_net, [], 15.0).column("bandwidth_nm")) == 0
+    assert len(enaqt_map(design_net, [0.0, 1.0], []).column("efficiency")) == 0
+
+
 def test_sweep_mirror_symmetry_under_slope_flip():
     # constant detuning: flipping the coupling slope mirrors the curve
     lams = wavelength_grid(LAMBDA0, 772.5, 812.5, 5.0)

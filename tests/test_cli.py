@@ -35,6 +35,15 @@ def small_config(tmp_path, **experiment_overrides):
     return path
 
 
+def bandwidth_config(tmp_path, bandwidth_max_nm):
+    """The bundled config with its bandwidth sweep ending at ``bandwidth_max_nm``."""
+    raw = default_config_dict()
+    raw["experiment"]["bandwidth_max_nm"] = bandwidth_max_nm
+    path = tmp_path / f"band{bandwidth_max_nm:g}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 def test_print_defaults(capsys):
     assert main(["--print-defaults"]) == 0
     printed = json.loads(capsys.readouterr().out)
@@ -128,22 +137,36 @@ def test_sweep_wavelength_outputs(tmp_path):
 
 
 def test_manifest_reruns_byte_identical(tmp_path):
-    cfg = small_config(tmp_path)
-    out1 = tmp_path / "run1"
-    assert main(["sweep-wavelength", str(cfg), "--output-dir", str(out1)]) == 0
-    manifest = json.loads((out1 / "wavelength_sweep_manifest.json").read_text())
+    # a small sweep, each command on the bundled config, and band fits that
+    # stop inside and past the first propagator call: a rerun from the
+    # manifest's config echo writes the same bytes (a read of an unwritten
+    # row would not)
+    runs = [("sweep-wavelength", small_config(tmp_path), "wavelength_sweep")]
+    runs += [(command, bundled_network_path(), csv_name) for command, csv_name in [
+        ("simulate", "dynamics"),
+        ("sweep-wavelength", "wavelength_sweep"),
+        ("sweep-bandwidth", "bandwidth_sweep"),
+        ("map", "enaqt_map"),
+        ("map --extended", "enaqt_map_extended"),
+    ]]
+    runs += [("sweep-bandwidth", bandwidth_config(tmp_path, band), "bandwidth_sweep")
+             for band in (20.0, 150.0)]
+    for i, (command, cfg, csv_name) in enumerate(runs):
+        out1 = tmp_path / f"run{i}"
+        assert main([*command.split(), str(cfg), "--output-dir", str(out1)]) == 0
+        manifest = json.loads((out1 / f"{csv_name}_manifest.json").read_text())
 
-    # reconstruct the config purely from the manifest echo and run again
-    cfg2 = tmp_path / "from_manifest.json"
-    cfg2.write_text(json.dumps(manifest["config"]))
-    out2 = tmp_path / "run2"
-    assert main(["sweep-wavelength", str(cfg2), "--output-dir", str(out2)]) == 0
+        # reconstruct the config purely from the manifest echo and run again
+        cfg2 = tmp_path / f"from_manifest{i}.json"
+        cfg2.write_text(json.dumps(manifest["config"]))
+        out2 = tmp_path / f"rerun{i}"
+        assert main([*command.split(), str(cfg2), "--output-dir", str(out2)]) == 0
 
-    b1 = (out1 / "wavelength_sweep.csv").read_bytes()
-    b2 = (out2 / "wavelength_sweep.csv").read_bytes()
-    assert b1 == b2
-    m2 = json.loads((out2 / "wavelength_sweep_manifest.json").read_text())
-    assert manifest["outputs"][0]["sha256"] == m2["outputs"][0]["sha256"]
+        b1 = (out1 / f"{csv_name}.csv").read_bytes()
+        b2 = (out2 / f"{csv_name}.csv").read_bytes()
+        assert b1 == b2, f"{command} on {cfg.name}"
+        m2 = json.loads((out2 / f"{csv_name}_manifest.json").read_text())
+        assert manifest["outputs"][0]["sha256"] == m2["outputs"][0]["sha256"]
 
 
 @pytest.mark.parametrize("command, csv_name", [
@@ -151,11 +174,13 @@ def test_manifest_reruns_byte_identical(tmp_path):
     ("sweep-wavelength", "wavelength_sweep.csv"),
     ("sweep-bandwidth", "bandwidth_sweep.csv"),
     ("map", "enaqt_map.csv"),
+    pytest.param("map --extended", "enaqt_map_extended.csv",
+                 id="map-extended-enaqt_map_extended.csv"),
 ])
 def test_manifest_hash_is_the_hash_of_the_csv_on_disk(tmp_path, command, csv_name):
     cfg = small_config(tmp_path)
     out = tmp_path / "out"
-    assert main([command, str(cfg), "--output-dir", str(out)]) == 0
+    assert main([*command.split(), str(cfg), "--output-dir", str(out)]) == 0
     csv_path = out / csv_name
     manifest = json.loads((out / f"{csv_path.stem}_manifest.json").read_text())
     assert manifest["outputs"] == [{"path": csv_name, "sha256": hashlib.sha256(
@@ -388,7 +413,18 @@ def test_sweep_bandwidth_subcommand(tmp_path):
     fit = manifest["metadata"]["ensemble_fit"]
     assert set(fit) == {"points", "tail"}
     assert decoherence.FIT_FIRST_POINTS <= fit["points"] <= decoherence.FIT_MAX_POINTS
-    assert fit["tail"] < 1e-14
+    assert fit["tail"] < decoherence.FIT_TAIL
+    # on the bundled config a 20 nm band converges inside the fit's first
+    # propagator call (33 of the 129 points it samples), the bundled 95 nm
+    # band at the whole call and a 150 nm band one doubling past it
+    for band, points in ((20.0, 33), (95.0, 129), (150.0, 257)):
+        out = tmp_path / f"band{band:g}"
+        assert main(["sweep-bandwidth", str(bandwidth_config(tmp_path, band)),
+                     "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "bandwidth_sweep_manifest.json").read_text())
+        fit = manifest["metadata"]["ensemble_fit"]
+        assert fit["points"] == points
+        assert fit["tail"] < decoherence.FIT_TAIL
 
 
 @pytest.mark.parametrize("command, csv_name, column, overrides, want", [
@@ -424,9 +460,10 @@ def test_lindblad_margins_in_manifest_not_csv(tmp_path, command, csv_name):
     margins = manifest["metadata"]["diagnostics"]["lindblad"]
     assert set(margins) == {"max_trace_increase", "min_eigenvalue", "max_hermiticity_error"}
     # inside the bounds the engine enforces, and measured, not placeholders
-    assert -1e-9 <= margins["max_trace_increase"] <= 1e-9
-    assert -1e-9 <= margins["min_eigenvalue"] <= 0.0
-    assert 0.0 < margins["max_hermiticity_error"] <= 1e-10
+    assert -propagate.MAX_TRACE_INCREASE <= margins["max_trace_increase"] \
+        <= propagate.MAX_TRACE_INCREASE
+    assert propagate.MIN_EIGENVALUE <= margins["min_eigenvalue"] <= 0.0
+    assert 0.0 < margins["max_hermiticity_error"] <= propagate.MAX_HERMITICITY_ERROR
     header = (out / f"{csv_name}.csv").read_text().splitlines()[0]
     assert not any(key in header for key in ("diagnostics", "trace", "eigenvalue", "herm"))
 
@@ -496,15 +533,24 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_check_passes_on_bundled_network(capsys):
-    assert main(["check", str(bundled_network_path())]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS] dark-state diagnostics" in out
-    assert "[PASS] sink no-return" in out
-    assert "[PASS] ensemble quadrature convergence" in out
-    assert "[PASS] decoherence strength closed form" in out
-    assert "[PASS] pair-transfer oracle" in out
-    assert "[FAIL]" not in out
+def test_check_passes_on_bundled_network(tmp_path, capsys):
+    # under the bundled tophat band and under a gaussian one, whose
+    # quadrature line runs the gaussian nodes and weights: its drift is
+    # pinned (flat weights on its nodes give 5.58e-07), the tophat's is
+    # rounding (~5e-15) and is not
+    raw = default_config_dict()
+    raw["spectrum"] = {"shape": "gaussian", "center_nm": 792.5, "fwhm_nm": 40.0}
+    gaussian = tmp_path / "gaussian.json"
+    gaussian.write_text(json.dumps(raw))
+    for cfg, drift in ((bundled_network_path(), ""), (gaussian, "2.47e-07 ")):
+        assert main(["check", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] dark-state diagnostics" in out
+        assert "[PASS] sink no-return" in out
+        assert f"[PASS] ensemble quadrature convergence: sink fraction moves {drift}" in out
+        assert "[PASS] decoherence strength closed form" in out
+        assert "[PASS] pair-transfer oracle" in out
+        assert "[FAIL]" not in out
 
 
 def test_check_dark_state_line_can_fail(tmp_path, capsys):

@@ -180,7 +180,11 @@ def test_bundled_values_are_the_dataclass_defaults(stripped):
         for key in defaulted & set(block):
             del block[key]
         assert block == {}
-    assert config_from_dict(raw) == parse_config(bundled_network_path())
+    bundled = parse_config(bundled_network_path())
+    assert config_from_dict(raw) == bundled
+    if stripped == list(_DEFAULTED_BLOCKS):
+        # every block but the network left out, the spectrum too
+        assert config_from_dict({"network": raw["network"]}) == bundled
 
 
 @pytest.mark.parametrize("path, key, value", [

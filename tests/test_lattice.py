@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enaqt import DispersionModel, NetworkSpec, SinkSpec, build_hamiltonian, enaqt4_network
+from enaqt.decoherence import coherent_efficiency
 from conftest import DARK_VECTOR, LAMBDA0
 
 
@@ -123,6 +126,33 @@ def test_dispersion_validation():
         SinkSpec(n_sink=0)
     with pytest.raises(ValueError):
         SinkSpec(c_trap_per_cm=-1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda v: DispersionModel(lambda0_nm=v), "lambda0_nm must be finite and positive"),
+    (lambda v: DispersionModel(detuning0_per_cm=v), "detuning0_per_cm must be finite"),
+    (lambda v: DispersionModel(coupling_slope_per_nm=v), "coupling_slope_per_nm must be finite"),
+    (lambda v: SinkSpec(c_trap_per_cm=v), "c_trap_per_cm must be finite and positive"),
+    (lambda v: SinkSpec(c_sink_per_cm=v), "c_sink_per_cm must be finite and positive"),
+], ids=["lambda0", "detuning0", "coupling-slope", "c-trap", "c-sink"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_network_fields_are_refused(make, message, value):
+    with pytest.raises(ValueError, match=message):
+        make(value)
+
+
+@pytest.mark.parametrize("use", [
+    lambda net, lam: net.dispersion.detuning_scale(lam),
+    lambda net, lam: net.dispersion.coupling_scale(lam),
+    build_hamiltonian,
+    lambda net, lam: coherent_efficiency(net, [LAMBDA0, lam], 15.0),
+], ids=["detuning-scale", "coupling-scale", "build-hamiltonian", "coherent-efficiency"])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_wavelength_must_be_finite_and_positive(design_net, use, lam):
+    # a NaN wavelength used to surface as an asymmetric Hamiltonian or a
+    # numpy warning, which did not name the wavelength
+    with pytest.raises(ValueError, match=f"wavelength must be finite and positive, got {lam}"):
+        use(design_net, lam)
 
 
 def test_coupling_scale_is_one_at_center():

@@ -14,7 +14,7 @@ from enaqt import (DispersionModel, HamiltonianMatrix, NetworkSpec, SinkSpec,
                    evolve_lindblad, evolve_trapped, evolve_unitary, parse_config,
                    sink_no_return_check, site_state, tophat_gamma_closed_form,
                    wavelength_grid)
-from enaqt import analysis, propagate
+from enaqt import analysis, decoherence, propagate
 from enaqt.lattice import DETUNING_LAWS
 from enaqt.propagate import (NumericalError, _check_density_stack, _density_margins, _expm,
                              _lindblad_runs, _propagate, _unitary_amplitudes,
@@ -211,10 +211,10 @@ def test_lindblad_state_stays_physical(h_system, design_kappa):
     trace = evolve_lindblad(h_system, design_kappa, 2, 0.01, 3, rho0,
                             np.linspace(0.0, 15.0, 31))
     for rho in trace.densities:
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
-        assert np.linalg.eigvalsh(rho).min() > -1e-7
+        assert np.max(np.abs(rho - rho.conj().T)) < propagate.MAX_HERMITICITY_ERROR
+        assert np.linalg.eigvalsh(rho).min() >= propagate.MIN_EIGENVALUE
     traces = np.einsum("zii->z", trace.densities).real
-    assert np.all(np.diff(traces) <= 1e-9)
+    assert np.all(np.diff(traces) <= propagate.MAX_TRACE_INCREASE)
 
 
 def test_propagate_matches_one_expm_per_z():
@@ -690,6 +690,30 @@ def test_no_return_check_reaches_z_max(design_net, z_max, n, monkeypatch):
 def test_no_return_check_refuses_negative_z_max(design_net):
     with pytest.raises(ValueError, match="z_max"):
         sink_no_return_check(design_net, -0.1, threshold=1e-3)
+
+
+_Z_ENTRY_POINTS = {
+    "evolve_unitary": lambda net, z: evolve_unitary(
+        build_hamiltonian(net, LAMBDA0), site_state(net.dimension, 0), [0.0, z]),
+    "evolve_trapped": lambda net, z: evolve_trapped(
+        build_hamiltonian(net, LAMBDA0).system_block(), 1.0, 2, site_state(4, 0), [0.0, z]),
+    "evolve_lindblad": lambda net, z: evolve_lindblad(
+        build_hamiltonian(net, LAMBDA0).system_block(), 1.0, 2, 0.0, 3, site_state(4, 0),
+        [0.0, z]),
+    "coherent_efficiency": lambda net, z: decoherence.coherent_efficiency(net, [LAMBDA0], z),
+    "enaqt_map": lambda net, z: analysis.enaqt_map(net, [0.0, z], [0.0, 0.01]),
+    "sweep_bandwidth": lambda net, z: analysis.sweep_bandwidth(net, [0.0, 20.0], z),
+    "sink_no_return_check": lambda net, z: sink_no_return_check(net, z, threshold=1e-3),
+}
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", list(_Z_ENTRY_POINTS))
+def test_non_finite_z_is_refused(design_net, entry, z):
+    # a NaN z used to give NaN populations or a NumericalError, and an inf z
+    # numpy's warnings or a size error
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        _Z_ENTRY_POINTS[entry](design_net, z)
 
 
 def test_no_return_requires_explicit_sink(design_net_open):
