@@ -208,8 +208,8 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     tail as ``ensemble_fit``.  There is one gamma per bandwidth, scaled
     with the detuning for the sensitivity runs (gamma is proportional to
     it), and every (detuning scale, gamma) run of the dephasing route is
-    one master-equation stack over z in {0, z_cm}, whose density margins
-    the metadata records as ``diagnostics.lindblad``.  A zero bandwidth on
+    one master-equation stack at z_cm, whose density margins the metadata
+    records as ``diagnostics.lindblad``.  A zero bandwidth on
     the grid doubles as the reference.  ``sensitivity`` is
     ``numerics.sensitivity_fraction`` and is refused outside its range.
     """
@@ -238,17 +238,15 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     fit = band_fit(net, Spectrum.tophat(lam0, float(points.max())), z_cm)
     eta_ens = fit.mean([Spectrum.tophat(lam0, float(b)).half_band for b in points])
 
-    # every (detuning scale, gamma) pair in one stack of master-equation runs
-    # at z in {0, z_cm}: the z = 0 row is the launch state, the only row that
-    # lets the density check see a propagator that scales every density.
+    # every (detuning scale, gamma) pair in one stack of master-equation runs.
     # Scaling every detuning by one factor keeps the most detuned site, so
     # the dephasing site is the nominal network's
     scales = (1.0, 1.0 - sensitivity, 1.0 + sensitivity) if sensitivity else (1.0,)
     hams = [build_hamiltonian(_scale_detuning(net, s), lam0, include_sink=False)
             for s in scales]
     etas, margins = _lindblad_efficiencies(net, hams, [s * gammas for s in scales], kap,
-                                           [0.0, z_cm])
-    eta_lind = etas[:, 1].reshape(len(scales), points.size)
+                                           [z_cm])
+    eta_lind = etas.reshape(len(scales), points.size)
 
     columns = {
         "bandwidth_nm": bws,
@@ -288,13 +286,12 @@ def _scale_detuning(net: NetworkSpec, scale: float) -> NetworkSpec:
 
 def _lindblad_efficiencies(net: NetworkSpec, hams: Sequence[HamiltonianMatrix], rates,
                            kappa: float, zs) -> Tuple[np.ndarray, Dict[str, float]]:
-    """Trapped fraction over ``zs`` of every master-equation run of one
-    stack, shape (runs, nz), from the input site with dephasing on
-    ``dephasing_site(net)``; row i of ``rates`` runs under ``hams[i]``.
-    Also the stack's density margins, for the manifest."""
-    rhos, margins = _lindblad_runs(hams, rates, kappa, net.target_site, dephasing_site(net),
-                                   site_state(net.n_sites, net.input_site), zs)
-    return 1.0 - np.real(np.einsum("rzii->rzi", rhos)).sum(axis=2), margins
+    """Trapped fraction eta over ``zs`` of every master-equation run of one
+    stack, shape (runs, nz), as the engine integrates it, from the input
+    site with dephasing on ``dephasing_site(net)``; row i of ``rates`` runs
+    under ``hams[i]``.  Also the stack's density margins, for the manifest."""
+    return _lindblad_runs(hams, rates, kappa, net.target_site, dephasing_site(net),
+                          site_state(net.n_sites, net.input_site), zs)[1:]
 
 
 def enaqt_map(net: NetworkSpec, z_grid: Sequence[float],

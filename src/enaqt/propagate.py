@@ -1,8 +1,11 @@
-"""Evolution engines: unitary, trapped (non-Hermitian), and Lindblad.
+"""Evolution engines: unitary, and the master equation with trapping.
 
 All engines are pure functions of (Hamiltonian, initial state, z grid) and
 return fresh :class:`EvolutionTrace` objects, so callers may evaluate many
-of them concurrently.  Initial states are plain arrays (``site_state``
+of them concurrently.  The trapped fraction has one home: the
+master-equation engine ``_lindblad_runs`` integrates it as a component of
+its state, and ``evolve_trapped`` (no dephasing) and ``evolve_lindblad``
+are its one-run cases.  Initial states are plain arrays (``site_state``
 builds the launch state), checked in one place each: ``_initial_amplitudes``
 and ``_initial_density``.  Propagation distance z plays the role of time;
 all rates are in cm^-1 and distances in cm.
@@ -28,13 +31,15 @@ SERIES_MAX_ARGUMENT = 1000.0
 # many step matrices, which bounds the memory a call needs beyond its output
 STEP_STACK = 64
 # an _expm call takes at most this many step matrices: its Pade temporaries
-# (~1 MiB for 16 x 16 Liouvillians) then stay within one core's L2 cache, and
-# the memory a call needs stays small
+# (~1 MiB for the 17 x 17 generators of 4 guides) then stay within one
+# core's L2 cache, and the memory a call needs stays small
 EXPM_STACK = 16
 # the bounds past which _check_density_stack calls a density stack unphysical
 MAX_TRACE_INCREASE = 1e-9
 MIN_EIGENVALUE = -1e-9
 MAX_HERMITICITY_ERROR = 1e-10
+# trapping is the only loss, so tr rho + eta = 1 along every run
+MAX_BALANCE_ERROR = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -46,10 +51,10 @@ class EvolutionTrace:
     """Populations along a propagation run.
 
     ``populations`` covers the system sites only (shape nz x n_system);
-    ``sink_population`` is everything the system has lost at each z, i.e.
-    the summed sink-guide population for explicit chains and 1 - norm^2
-    for effective decay models.  ``densities`` is filled by the Lindblad
-    engine only.
+    ``sink_population`` is everything the system has lost at each z: the
+    summed sink-guide population of ``evolve_unitary``, and the trapped
+    fraction eta that ``evolve_trapped`` and ``evolve_lindblad`` integrate
+    beside the density.  ``densities`` is filled by those two only.
     """
 
     z_grid: np.ndarray
@@ -118,18 +123,6 @@ def _initial_density(rho0, dim: int) -> np.ndarray:
     return rho
 
 
-def _trace(h: HamiltonianMatrix, zs: np.ndarray, pops: np.ndarray,
-           densities: Optional[np.ndarray] = None) -> EvolutionTrace:
-    system = pops[:, : h.n_system]
-    return EvolutionTrace(
-        z_grid=zs,
-        populations=system,
-        sink_population=1.0 - system.sum(axis=1),
-        n_system=h.n_system,
-        densities=densities,
-    )
-
-
 def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     """Closed evolution psi(z) = exp(-iHz) psi0 via eigendecomposition.
 
@@ -139,7 +132,8 @@ def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     """
     zs = _as_zgrid(z_grid)
     amps = _initial_amplitudes(psi0, h.dimension)
-    return _trace(h, zs, np.abs(_unitary_amplitudes(h, amps, zs, slice(h.n_system))) ** 2)
+    pops = np.abs(_unitary_amplitudes(h, amps, zs, slice(h.n_system))) ** 2
+    return EvolutionTrace(zs, pops, 1.0 - pops.sum(axis=1), h.n_system)
 
 
 def _eigh(matrix: np.ndarray):
@@ -362,26 +356,22 @@ def _grid_steps(zs: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Rows exp(gen z) v for each z of a non-decreasing grid from z >= 0,
-    stepping with exp(gen dz), one exponential per distinct nonzero step dz
-    of ``_grid_steps``: two at most on a uniform grid (its first z and h).
-
-    ``gen`` may also be a stack of runs' generators (runs, n, n), with ``v``
-    one start vector per run or one shared by all; the result is then
-    (runs, nz, n) and each z is one stacked product over a chunk of runs
-    that holds at most ``STEP_STACK`` step matrices.  Each run's scaling
-    exponent is set by the largest 1-norm of its own steps, before any
-    step is taken (a NaN or inf entry raises NumericalError there), and a
-    chunk's runs of equal exponent are exponentiated together, at most
-    ``EXPM_STACK`` step matrices to an ``_expm`` call.
-    Every matrix of a call is scaled by the 2^-s it would get alone, and the
-    stacked products treat each matrix apart, so every bit of a run's result
-    is what that run alone would give.  A zero step is the identity and is
-    not exponentiated.
+def _propagate(gens: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Rows exp(gen z) v for each z of a non-decreasing grid from z >= 0 and
+    each run's generator of the stack ``gens`` (runs, n, n), with ``v`` one
+    start vector per run or one shared by all: shape (runs, nz, n).  Each
+    run steps with exp(gen dz), one exponential per distinct nonzero step
+    dz of ``_grid_steps``: two at most on a uniform grid (its first z and
+    h).  Each z is one stacked product over a chunk of runs that holds at
+    most ``STEP_STACK`` step matrices.  Each run's scaling exponent is set
+    by the largest 1-norm of its own steps, before any step is taken (a NaN
+    or inf entry raises NumericalError there), and a chunk's runs of equal
+    exponent are exponentiated together, at most ``EXPM_STACK`` step
+    matrices to an ``_expm`` call.  Every matrix of a call is scaled by the
+    2^-s it would get alone, and the stacked products treat each matrix
+    apart, so every bit of a run's result is what that run alone would
+    give.  A zero step is the identity and is not exponentiated.
     """
-    single = gen.ndim == 2
-    gens = gen[None] if single else gen
     dzs, step_of = np.unique(_grid_steps(zs), return_inverse=True)
     moving = dzs != 0.0
     dz = dzs[moving, None, None]
@@ -413,7 +403,7 @@ def _propagate(gen: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
             if moving[j]:
                 v = np.matmul(steps[step_index[j]], v[..., None])[..., 0]
             out[chunk, k] = v
-    return out[0] if single else out
+    return out
 
 
 # Pade-13 coefficients b_0..b_13 and its 1-norm bound theta_13 (Higham 2005)
@@ -458,17 +448,18 @@ def _expm(stack: np.ndarray, s: Optional[int] = None) -> np.ndarray:
 
 def evolve_trapped(h: HamiltonianMatrix, kappa: float, target: int,
                    psi0, z_grid) -> EvolutionTrace:
-    """Irreversible trapping at rate kappa on the target site.
+    """Irreversible trapping at rate kappa on the target site: evolution
+    under H - i(kappa/2)|t><t| from the unit amplitude vector ``psi0``.
 
-    Evolves under H - i(kappa/2)|t><t| by stepping the exact propagator
-    exp(-i H_eff dz), computed once per distinct nonzero grid step; a
-    uniform grid steps by one h after its first z (``_grid_steps``).  The
+    This is ``evolve_lindblad`` at gamma = 0 on the pure density of
+    ``psi0``, so its ``sink_population`` is the trapped fraction eta that
+    the master-equation engine integrates.  Pass the system block alone:
+    the engine's generators are (d^2 + 1) x (d^2 + 1) for d guides.  The
     population decay rate of an isolated trapped site is exactly kappa.
     """
-    h_eff = _trapped_hamiltonian(h, kappa, target)
-    zs = _as_zgrid(z_grid)
     amps = _initial_amplitudes(psi0, h.dimension)
-    return _trace(h, zs, np.abs(_propagate(-1j * h_eff, amps, zs)) ** 2)
+    # at gamma = 0 the dephasing site (here 0) changes no bit
+    return evolve_lindblad(h, kappa, target, 0.0, 0, amps, z_grid)
 
 
 def _trapped_hamiltonian(h: HamiltonianMatrix, kappa: float, target: int) -> np.ndarray:
@@ -560,13 +551,19 @@ def _certified_positive(stack: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _check_density_stack(rhos: np.ndarray) -> Dict[str, float]:
-    """The ``_density_margins`` of a stack of runs; raise NumericalError on
-    a NaN or infinite entry, or on a margin past its bound:
-    ``MAX_TRACE_INCREASE``, ``MIN_EIGENVALUE`` or ``MAX_HERMITICITY_ERROR``."""
+def _check_density_stack(rhos: np.ndarray, etas: Optional[np.ndarray] = None
+                         ) -> Dict[str, float]:
+    """The ``_density_margins`` of a stack of runs and, given their trapped
+    fractions ``etas``, ``max_balance_error`` = max |tr rho + eta - 1|.
+    Raise NumericalError on a NaN or infinite density entry, or on a margin
+    past its bound: ``MAX_TRACE_INCREASE``, ``MIN_EIGENVALUE``,
+    ``MAX_HERMITICITY_ERROR`` or ``MAX_BALANCE_ERROR`` (which a NaN fails)."""
     if not np.all(np.isfinite(rhos)):
         raise NumericalError("density stack is not finite")
     margins = _density_margins(rhos)
+    if etas is not None:
+        traces = np.real(np.einsum("...ii->...", rhos))
+        margins["max_balance_error"] = float(np.abs(traces + etas - 1.0).max())
     if margins["max_trace_increase"] > MAX_TRACE_INCREASE:
         raise NumericalError(f"density trace grows by {margins['max_trace_increase']:.3e}")
     if margins["max_hermiticity_error"] > MAX_HERMITICITY_ERROR:
@@ -574,21 +571,28 @@ def _check_density_stack(rhos: np.ndarray) -> Dict[str, float]:
                              f"(error {margins['max_hermiticity_error']:.3e})")
     if margins["min_eigenvalue"] < MIN_EIGENVALUE:
         raise NumericalError(f"density matrix has eigenvalue {margins['min_eigenvalue']:.3e}")
+    if not margins.get("max_balance_error", 0.0) <= MAX_BALANCE_ERROR:
+        raise NumericalError("trace and trapped fraction do not sum to 1 "
+                             f"(error {margins['max_balance_error']:.3e})")
     return margins
 
 
 def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, target: int,
-                   dephasing_site: int, rho0, z_grid) -> Tuple[np.ndarray, Dict[str, float]]:
+                   dephasing_site: int, rho0, z_grid
+                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
     """The master-equation engine: densities of a stack of runs, shape
-    (runs, nz, d, d), and their ``_check_density_stack`` margins.
+    (runs, nz, d, d), their trapped fractions eta, shape (runs, nz), and
+    their ``_check_density_stack`` margins.
 
     Row i of the 2-d ``rates`` holds the dephasing rates run under
     ``hams[i]``; runs are taken row by row.  Every generator is
-    L0(H) - gamma diag(mask), with
+    L0(H) - gamma diag(mask) on the row-major density, with
     L0 = -i(H_eff x I - I x conj(H_eff)) built once per Hamiltonian from the
-    trapping generator ``_trapped_hamiltonian``, and all runs step together
-    through one ``_propagate`` call.  See ``evolve_lindblad``, the one-run
-    case, for the model.
+    trapping generator ``_trapped_hamiltonian``, plus a last component
+    deta/dz = kappa rho_tt (kappa at column t d + t), so eta is integrated,
+    never taken as 1 - tr rho, which loses its digits while little is
+    trapped.  All runs step together through one ``_propagate`` call.  See
+    ``evolve_lindblad``, the one-run case, for the model.
     """
     rates = np.asarray(rates, dtype=float)
     ok = np.isfinite(rates) & (rates >= 0)
@@ -609,14 +613,16 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
     mask[dephasing_site, :] = mask[:, dephasing_site] = 1.0
     np.fill_diagonal(mask, 0.0)
     dephasing = np.diag(mask.ravel())
-    gens = np.empty((rates.size, dim * dim, dim * dim), dtype=complex)
+    gens = np.zeros((rates.size, dim * dim + 1, dim * dim + 1), dtype=complex)
     for i, h in enumerate(hams):
         h_eff = _trapped_hamiltonian(h, kappa, target)
         base = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
         row = slice(i * rates.shape[1], (i + 1) * rates.shape[1])
-        gens[row] = base - rates[i, :, None, None] * dephasing
-    out = _propagate(gens, rho.ravel(), zs).reshape(rates.size, zs.size, dim, dim)
-    return out, _check_density_stack(out)
+        gens[row, :-1, :-1] = base - rates[i, :, None, None] * dephasing
+    gens[:, -1, target * (dim + 1)] = kappa
+    out = _propagate(gens, np.append(rho.ravel(), 0.0), zs)
+    rhos, etas = out[..., :-1].reshape(rates.size, zs.size, dim, dim), out[..., -1].real
+    return rhos, etas, _check_density_stack(rhos, etas)
 
 
 def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
@@ -631,10 +637,12 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
     interference envelope).
 
     Exact for this z-independent generator: the row-major Liouvillian
-    -i(H x I - I x H^T) - (kappa/2)(P x I + I x P) - gamma diag(mask) is
-    exponentiated once per distinct nonzero grid step, and a uniform grid
-    steps by one h after its first z (``_grid_steps``).  Unphysical output
-    (trace growth, a negative eigenvalue, lost Hermiticity) raises
+    -i(H x I - I x H^T) - (kappa/2)(P x I + I x P) - gamma diag(mask),
+    with the trapped fraction deta/dz = kappa rho_tt as one more component,
+    is exponentiated once per distinct nonzero grid step, and a uniform
+    grid steps by one h after its first z (``_grid_steps``).
+    ``sink_population`` is that eta.  Unphysical output (trace growth, a
+    negative eigenvalue, lost Hermiticity, tr rho + eta off 1) raises
     NumericalError.  This is the one-run case of ``_lindblad_runs``, which
     sweeps run as one stack.
 
@@ -652,9 +660,10 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
         Output grid, non-decreasing from z >= 0.
     """
     zs = _as_zgrid(z_grid)
-    rhos = _lindblad_runs([h], [[dephasing_rate]], kappa, target, dephasing_site,
-                          rho0, zs)[0][0]
-    return _trace(h, zs, np.real(np.einsum("zii->zi", rhos)), rhos)
+    rhos, etas, _ = _lindblad_runs([h], [[dephasing_rate]], kappa, target, dephasing_site,
+                                   rho0, zs)
+    pops = np.real(np.einsum("zii->zi", rhos[0]))[:, : h.n_system]
+    return EvolutionTrace(zs, pops, etas[0], h.n_system, rhos[0])
 
 
 @dataclass(frozen=True)

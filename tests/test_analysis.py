@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from enaqt import analysis, decoherence
 from enaqt import (DispersionModel, HamiltonianMatrix, Spectrum,
@@ -406,6 +407,38 @@ def test_enaqt_map_adds_the_coherent_base_run(design_net):
     for name in ("efficiency", "enhancement"):
         assert np.array_equal(without.column(name), with_base.column(name)[zs.size:])
     assert without.metadata["n_gamma"] == 2
+
+
+def _augmented_efficiency(net, gamma, z):
+    # an independent reference: the column-major Liouvillian with
+    # d eta/dz = kappa rho_tt as a last component, one scipy exponential per z
+    h = build_hamiltonian(net, LAMBDA0, include_sink=False).entries
+    kappa, t, site = analysis.effective_kappa(net), net.target_site, analysis.dephasing_site(net)
+    eye, proj, damped = np.eye(4), np.zeros((4, 4)), np.zeros((4, 4))
+    proj[t, t] = 1.0
+    damped[site, :] = damped[:, site] = 1.0
+    damped[site, site] = 0.0
+    gen = np.zeros((17, 17), dtype=complex)
+    gen[:16, :16] = (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
+                     - 0.5 * kappa * (np.kron(eye, proj) + np.kron(proj, eye))
+                     - gamma * np.diag(damped.ravel(order="F")))
+    gen[16, t * 5] = kappa
+    start = np.zeros(17)
+    start[0] = 1.0
+    return (scipy.linalg.expm(gen * z) @ start)[16].real
+
+
+def test_map_efficiency_at_small_z_matches_the_augmented_exponential(design_net):
+    # taken as 1 - tr rho, eta here loses up to 1e-10 and the enhancement 4e-3
+    zs = wavelength_grid(0.0, 0.0, 15.0, 0.1)
+    gammas = np.array([0.0, 0.001, 0.02])
+    result = enaqt_map(design_net, zs, gammas)
+    eta = result.column("efficiency").reshape(gammas.size, zs.size)
+    enh = result.column("enhancement").reshape(gammas.size, zs.size)
+    for zi in (1, 2, 5):
+        want = np.array([_augmented_efficiency(design_net, g, zs[zi]) for g in gammas])
+        assert np.max(np.abs(eta[:, zi] / want - 1.0)) < 1e-12, zs[zi]
+        assert np.max(np.abs(enh[1:, zi] / (want[1:] / want[0] - 1.0) - 1.0)) < 1e-6, zs[zi]
 
 
 def test_enaqt_map_structure(design_net):

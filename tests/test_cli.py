@@ -235,6 +235,23 @@ def test_unphysical_lindblad_output_exits_3_without_csv(tmp_path, monkeypatch,
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["map", "sweep-bandwidth", "simulate"])
+def test_mutated_trapping_row_exits_3_without_csv(tmp_path, monkeypatch, capsys, command):
+    # the trapped fraction grows 1 % too fast; every density is untouched
+    exact = propagate._propagate
+
+    def fast_trapping(gen, v0, zs):
+        gen = gen.copy()
+        gen[..., -1, :] *= 1.01
+        return exact(gen, v0, zs)
+
+    monkeypatch.setattr(propagate, "_propagate", fast_trapping)
+    out = tmp_path / "out"
+    assert main([command, str(small_config(tmp_path)), "--output-dir", str(out)]) == 3
+    assert "trace and trapped fraction do not sum to 1" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("command", ["simulate", "check"])
 def test_failed_eigendecomposition_exits_3(tmp_path, monkeypatch, capsys, command):
     def failing(a):
@@ -458,14 +475,17 @@ def test_lindblad_margins_in_manifest_not_csv(tmp_path, command, csv_name):
                 + command[1:]) == 0
     manifest = json.loads((out / f"{csv_name}_manifest.json").read_text())
     margins = manifest["metadata"]["diagnostics"]["lindblad"]
-    assert set(margins) == {"max_trace_increase", "min_eigenvalue", "max_hermiticity_error"}
+    assert set(margins) == {"max_trace_increase", "min_eigenvalue", "max_hermiticity_error",
+                            "max_balance_error"}
     # inside the bounds the engine enforces, and measured, not placeholders
     assert -propagate.MAX_TRACE_INCREASE <= margins["max_trace_increase"] \
         <= propagate.MAX_TRACE_INCREASE
     assert propagate.MIN_EIGENVALUE <= margins["min_eigenvalue"] <= 0.0
     assert 0.0 < margins["max_hermiticity_error"] <= propagate.MAX_HERMITICITY_ERROR
+    assert 0.0 < margins["max_balance_error"] <= propagate.MAX_BALANCE_ERROR
     header = (out / f"{csv_name}.csv").read_text().splitlines()[0]
-    assert not any(key in header for key in ("diagnostics", "trace", "eigenvalue", "herm"))
+    assert not any(key in header
+                   for key in ("diagnostics", "trace", "eigenvalue", "herm", "balance"))
 
 
 def test_calibrate_subcommand(tmp_path, capsys):

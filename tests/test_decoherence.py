@@ -65,6 +65,14 @@ def test_band_fit_mean_is_exact_for_a_polynomial():
     assert point.mean([0.0]).tolist() == [0.3]
 
 
+def test_band_fit_tests_the_trailing_quarter_of_its_coefficients(design_net):
+    # a band where the quarter and the trailing eighth pick different sizes:
+    # 33 points already pass on their trailing eighth
+    fit = decoherence.band_fit(design_net, Spectrum.tophat(LAMBDA0, 25.0), 15.0)
+    assert fit.points == 65
+    assert fit.tail < decoherence.FIT_TAIL
+
+
 # ---------------------------------------------------------------------------
 # first-order coherence
 

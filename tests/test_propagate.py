@@ -138,6 +138,15 @@ def test_trapped_rejects_negative_kappa(h_system):
 # ---------------------------------------------------------------------------
 # master-equation engine
 
+@pytest.mark.parametrize("psi0", [site_state(4, 0), DARK_VECTOR], ids=["input", "dark"])
+@pytest.mark.parametrize("zs", [ZS, [111.7]], ids=["map-grid", "long-z"])
+def test_trapped_is_the_lindblad_engine_without_dephasing(h_system, design_kappa, psi0, zs):
+    trapped = evolve_trapped(h_system, design_kappa, 2, psi0, zs)
+    lind = evolve_lindblad(h_system, design_kappa, 2, 0.0, 3, psi0, zs)
+    for field in ("z_grid", "populations", "sink_population", "densities"):
+        assert np.array_equal(getattr(trapped, field), getattr(lind, field)), field
+
+
 def test_lindblad_closed_limit_matches_trapped(h_system, design_kappa):
     zs = np.linspace(0.0, 15.0, 16)
     psi0 = site_state(4, 0)
@@ -226,7 +235,7 @@ def test_propagate_matches_one_expm_per_z():
     v0 /= np.linalg.norm(v0)
     # non-zero start, repeated z values and uneven steps
     zs = np.array([0.3, 0.3, 0.8, 1.3, 2.05, 4.0, 4.0, 7.5])
-    got = _propagate(gen, v0, zs)
+    got = _propagate(gen[None], v0, zs)[0]
     want = np.array([scipy.linalg.expm(gen * z) @ v0 for z in zs])
     assert np.max(np.abs(got - want)) < 1e-13
 
@@ -276,7 +285,7 @@ def test_uniform_grid_steps_with_one_exponential(zs, per_run, monkeypatch):
         want = np.array([scipy.linalg.expm(gen * z) @ v0 for z in zs])
         assert np.max(np.abs(run - want)) < 1e-13
     sizes.clear()
-    assert np.array_equal(got[2], _propagate(steep, v0, zs))
+    assert np.array_equal(got[2], _propagate(steep[None], v0, zs)[0])
     assert sizes == [per_run]
 
 
@@ -445,12 +454,34 @@ def test_stacked_runs_match_one_at_a_time(grid, design_net_open, design_kappa):
     hams = [build_hamiltonian(_detuned(design_net_open, s), LAMBDA0) for s in scales]
     rates = [s * gammas for s in scales]
     rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    stacked, margins = _lindblad_runs(hams, rates, design_kappa, 2, 3, rho0, zs)
+    stacked, etas, margins = _lindblad_runs(hams, rates, design_kappa, 2, 3, rho0, zs)
     assert stacked.shape == (3 * gammas.size, zs.size, 4, 4)
-    alone = np.array([evolve_lindblad(h, design_kappa, 2, float(g), 3, rho0, zs).densities
-                      for h, row in zip(hams, rates) for g in row])
+    assert etas.shape == (3 * gammas.size, zs.size)
+    traces = [evolve_lindblad(h, design_kappa, 2, float(g), 3, rho0, zs)
+              for h, row in zip(hams, rates) for g in row]
+    alone = np.array([trace.densities for trace in traces])
+    alone_etas = np.array([trace.sink_population for trace in traces])
     assert np.array_equal(stacked, alone)
-    assert margins == propagate._density_margins(alone)
+    assert np.array_equal(etas, alone_etas)
+    assert margins == _check_density_stack(alone, alone_etas)
+
+
+def test_balance_check_reads_and_rejects_a_trapped_fraction_off_the_trace():
+    # two runs that lose half their light, of which eta holds all
+    rhos = np.tile(np.diag([0.25, 0.25]).astype(complex), (2, 3, 1, 1))
+    rhos[:, 0] = np.diag([1.0, 0.0])
+    etas = np.tile([0.0, 0.5, 0.5], (2, 1))
+    assert _check_density_stack(rhos, etas)["max_balance_error"] == 0.0
+    assert "max_balance_error" not in _check_density_stack(rhos)
+    etas[1, 2] += 5e-10
+    assert _check_density_stack(rhos, etas)["max_balance_error"] == pytest.approx(
+        5e-10, rel=1e-6, abs=0.0)
+    etas[1, 2] += 1.5e-9
+    with pytest.raises(NumericalError, match="do not sum to 1 \\(error 2.000e-09\\)"):
+        _check_density_stack(rhos, etas)
+    etas[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="do not sum to 1 \\(error nan\\)"):
+        _check_density_stack(rhos, etas)
 
 
 def test_density_check_never_compares_across_runs():
@@ -474,9 +505,9 @@ def cli_stacks():
     stacks = []
 
     def keep(*args, **kwargs):
-        rhos, margins = _lindblad_runs(*args, **kwargs)
+        rhos, etas, margins = _lindblad_runs(*args, **kwargs)
         stacks.append(rhos)
-        return rhos, margins
+        return rhos, etas, margins
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_lindblad_runs", keep)
@@ -627,8 +658,9 @@ def test_zero_steps_are_not_exponentiated(zs, h_system, design_kappa, monkeypatc
 
     monkeypatch.setattr(propagate, "_expm", no_expm)
     rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    rhos, _ = _lindblad_runs([h_system], [[0.0, 0.01]], design_kappa, 2, 3, rho0, zs)
+    rhos, etas, _ = _lindblad_runs([h_system], [[0.0, 0.01]], design_kappa, 2, 3, rho0, zs)
     assert np.all(rhos == rho0)
+    assert np.all(etas == 0.0)
     v0 = np.array([1.0, 0.0])
     assert np.all(_propagate(np.eye(2)[None].repeat(3, axis=0), v0, np.array(zs)) == v0)
 
