@@ -11,10 +11,8 @@ it would spread.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 from dataclasses import dataclass
@@ -128,13 +126,11 @@ class SweepResult:
             texts[lo:lo + 256] = list(map(repr, bits[lo:lo + 256].view(float).tolist()))
         del bits  # not held through the blocks
         rows = inverse.reshape(len(names), self.n_rows).T
-        header = io.StringIO()
-        csv.writer(header, lineterminator="\n").writerow(names)
         blocks = ("\n".join(map(",".join, texts[rows[lo:lo + 256]].tolist())) + "\n"
                   for lo in range(0, self.n_rows, 256))
         digest = hashlib.sha256()
         with open(path, "wb") as fh:
-            for text in itertools.chain([header.getvalue()], blocks):
+            for text in itertools.chain([",".join(names) + "\n"], blocks):
                 data = text.encode()
                 fh.write(data)
                 digest.update(data)

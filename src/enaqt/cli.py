@@ -98,7 +98,8 @@ def _simulate(config: RunConfig, args):
 
     if net.sink is not None:
         kappa = analysis.effective_kappa(net)
-        trapped = propagate.evolve_trapped(h.system_block(), kappa, net.target_site,
+        h_sys = lattice.build_hamiltonian(net, lam0, include_sink=False)
+        trapped = propagate.evolve_trapped(h_sys, kappa, net.target_site,
                                            propagate.site_state(net.n_sites, net.input_site),
                                            zs)
         columns["sink_fraction_effective_rate"] = trapped.sink_population

@@ -11,7 +11,8 @@ numerics blocks are read field by field from the dataclass each one
 builds, so their defaults and range checks are written only there; the
 Python API takes its ``numerics`` defaults and checks from
 ``NumericsConfig`` too.  ``wavelength_grid`` is the one grid rule, which
-the window check applies and every run grid follows.
+the window check applies and every run grid follows, and every sampled
+wavelength range is checked once, at its edges, when the config is read.
 """
 
 from __future__ import annotations
@@ -258,8 +259,7 @@ def config_from_dict(raw: Dict) -> RunConfig:
         output=_parse_simple(raw.get("output", {}), OutputConfig, "output"),
         numerics=_parse_simple(raw.get("numerics", {}), NumericsConfig, "numerics"),
     )
-    _check_grids(config)
-    _check_bands(config)
+    _check_wavelengths(config)
     _check_sink(config)
     return config
 
@@ -282,41 +282,39 @@ def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
     return lambda0_nm + step_nm * np.arange(k_lo, k_hi + 1)
 
 
-def _check_grids(config: RunConfig) -> None:
-    """Reject a wavelength window that holds no point of the grid through
-    the network's lambda0."""
+def _check_wavelengths(config: RunConfig) -> None:
+    """Reject a run input that samples a wavelength the runs cannot use: a
+    wavelength window that holds no point of the grid through the
+    network's lambda0, or an edge of a sampled range that fails the
+    usable-wavelength rule of ``DispersionModel.coupling_scale``.  The
+    ranges are the window's grid (its first and last point), the sweep's
+    widest tophat and the spectrum's band; a band's long edge runs off to
+    zero frequency as a tophat's full width nears 2 lambda0.  Both
+    dispersion scales are monotone in lambda, so a range whose edges pass
+    holds no unusable wavelength."""
     exp = config.experiment
-    lam0 = config.network.dispersion.lambda0_nm
+    disp = config.network.dispersion
     try:
-        wavelength_grid(lam0, exp.wavelength_min_nm, exp.wavelength_max_nm,
-                        exp.wavelength_step_nm)
+        grid = wavelength_grid(disp.lambda0_nm, exp.wavelength_min_nm,
+                               exp.wavelength_max_nm, exp.wavelength_step_nm)
     except ValueError:
         raise ConfigError(
             "experiment.wavelength_min_nm",
-            f"no point of the {exp.wavelength_step_nm} nm grid through {lam0} nm lies "
-            f"in [wavelength_min_nm, wavelength_max_nm] = "
+            f"no point of the {exp.wavelength_step_nm} nm grid through {disp.lambda0_nm} nm "
+            f"lies in [wavelength_min_nm, wavelength_max_nm] = "
             f"[{exp.wavelength_min_nm}, {exp.wavelength_max_nm}]") from None
-
-
-def _check_bands(config: RunConfig) -> None:
-    """Reject a band the runs cannot sample: each edge of the sweep's widest
-    tophat and of the spectrum must be a finite positive wavelength at
-    which the coupling scale is finite.  The long edge runs off to infinity
-    as a tophat's full width nears 2 lambda0."""
-    disp = config.network.dispersion
+    edges = [("experiment.wavelength_min_nm", "window", grid[0]),
+             ("experiment.wavelength_max_nm", "window", grid[-1])]
     bands = [("experiment.bandwidth_max_nm",
-              Spectrum.tophat(disp.lambda0_nm, config.experiment.bandwidth_max_nm)),
+              Spectrum.tophat(disp.lambda0_nm, exp.bandwidth_max_nm)),
              ("spectrum.fwhm_nm", config.spectrum)]
-    for key, spectrum in bands:
-        for edge in spectrum.band_edges_nm:
-            try:
-                ok = math.isfinite(edge) and math.isfinite(disp.coupling_scale(edge))
-            except OverflowError:
-                ok = False
-            if not ok:
-                reach = (f"{edge:.6g} nm, where the coupling scale is not finite"
-                         if math.isfinite(edge) else "zero frequency")
-                raise ConfigError(key, f"the band reaches {reach}; narrow the band")
+    edges += [(key, "band", edge) for key, band in bands for edge in band.band_edges_nm]
+    for key, what, edge in edges:
+        try:
+            disp.coupling_scale(float(edge))
+        except ValueError as exc:
+            raise ConfigError(key, f"the {what} reaches an unusable wavelength ({exc}); "
+                                   f"narrow the {what}") from None
 
 
 def _check_sink(config: RunConfig) -> None:

@@ -384,12 +384,18 @@ def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
     Evolves ``psi0`` unitarily (explicit sink and all) to ``z_cm`` at every
     quadrature node at once, with the batched wavelength propagator that
     the wavelength sweep and ``band_fit`` use, and accumulates the weighted
-    mixture of the resulting pure states in a fixed node order.  ``nodes``
-    is the quadrature size, ``numerics.ensemble_nodes`` in a config.
+    mixture of the resulting pure states in a fixed node order.  This is
+    the one route for a complex ``psi0``: the propagator takes real launch
+    vectors, so by linearity the real and imaginary parts run as two
+    launches.  ``nodes`` is the quadrature size, ``numerics.ensemble_nodes``
+    in a config.
     """
     lams, weights = spectral_nodes(spectrum, nodes)
     amps0 = _initial_amplitudes(psi0, net.dimension)
-    states = _wavelength_amplitudes(net, lams, amps0, z_cm)
+    states = np.zeros((lams.size, net.dimension), dtype=complex)
+    for unit, part in ((1.0, amps0.real), (1j, amps0.imag)):
+        if part.any():
+            states += unit * _wavelength_amplitudes(net, lams, part, z_cm)
 
     rho = np.einsum("k,ki,kj->ij", weights, states, states.conj())
     return EnsembleResult(

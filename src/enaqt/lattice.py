@@ -20,6 +20,8 @@ DETUNING_LAWS = ("inverse-lambda", "constant")
 
 
 def _check_wavelength(wavelength_nm: float) -> None:
+    """Half of the rule for a usable wavelength: finite and positive.  The
+    other half, a finite coupling scale, is ``coupling_scale``'s."""
     if not 0 < wavelength_nm < math.inf:  # a NaN fails it too
         raise ValueError(f"wavelength must be finite and positive, got {wavelength_nm}")
 
@@ -59,9 +61,17 @@ class DispersionModel:
         return 1.0
 
     def coupling_scale(self, wavelength_nm: float) -> float:
-        """Multiplier applied to every coupling at this wavelength."""
+        """Multiplier applied to every coupling at this wavelength.  This is
+        the rule for a usable wavelength: finite and positive, with a finite
+        coupling scale; any other raises ValueError."""
         _check_wavelength(wavelength_nm)
-        return math.exp(self.coupling_slope_per_nm * (wavelength_nm - self.lambda0_nm))
+        try:
+            scale = math.exp(self.coupling_slope_per_nm * (wavelength_nm - self.lambda0_nm))
+        except OverflowError:
+            scale = math.inf
+        if scale == math.inf:  # math.exp(inf) is inf, and raises nothing
+            raise ValueError(f"coupling scale at {wavelength_nm} nm is not finite")
+        return scale
 
 
 @dataclass(frozen=True)
@@ -163,10 +173,6 @@ class HamiltonianMatrix:
     @property
     def has_sink(self) -> bool:
         return self.n_system < self.dimension
-
-    def system_block(self) -> "HamiltonianMatrix":
-        n = self.n_system
-        return HamiltonianMatrix(self.entries[:n, :n].copy(), self.wavelength_nm, n)
 
 
 def enaqt4_network(c: float = 1.0,

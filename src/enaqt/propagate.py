@@ -60,7 +60,6 @@ class EvolutionTrace:
     z_grid: np.ndarray
     populations: np.ndarray
     sink_population: np.ndarray
-    n_system: int
     densities: Optional[np.ndarray] = None
 
 
@@ -133,7 +132,7 @@ def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     zs = _as_zgrid(z_grid)
     amps = _initial_amplitudes(psi0, h.dimension)
     pops = np.abs(_unitary_amplitudes(h, amps, zs, slice(h.n_system))) ** 2
-    return EvolutionTrace(zs, pops, 1.0 - pops.sum(axis=1), h.n_system)
+    return EvolutionTrace(zs, pops, 1.0 - pops.sum(axis=1))
 
 
 def _eigh(matrix: np.ndarray):
@@ -145,11 +144,11 @@ def _eigh(matrix: np.ndarray):
 
 
 def _unitary_amplitudes(h: HamiltonianMatrix, amps: np.ndarray, zs: np.ndarray,
-                        guides=slice(None)) -> np.ndarray:
+                        guides) -> np.ndarray:
     """Rows psi(z) = exp(-iHz) amps for each z, from one eigendecomposition
     of the real-symmetric H: the propagator of one Hamiltonian over a z grid.
     Only the entries of the guides that the index ``guides`` selects are
-    formed and returned, all of them by default."""
+    formed and returned."""
     energies, modes = _eigh(h.entries)
     coeffs = modes.conj().T @ amps
     phases = np.exp(-1j * np.outer(zs, energies))
@@ -246,9 +245,11 @@ def _light_cone(couplings: np.ndarray, amps: np.ndarray, n_terms: int,
 def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
                            z: float, rows: Optional[int] = None) -> np.ndarray:
     """Rows psi(lambda) = exp(-iH(lambda)z) amps for each wavelength of
-    ``lams`` at one z: the propagator of wavelength sweeps and ensembles.
-    Only the first ``rows`` guides of each psi are returned, all of them by
-    default.
+    ``lams`` at one z, from the real launch vector ``amps`` (a nonzero
+    imaginary part raises ValueError; ``ensemble_average`` runs a complex
+    state as two real launches): the propagator of wavelength sweeps and
+    ensembles.  Only the first ``rows`` guides of each psi are returned, all
+    of them by default.
 
     Every H(lambda) is d(lambda) diag(D) + c(lambda) A
     (``hamiltonian_parts``).  With each wavelength's spectrum inside
@@ -257,18 +258,21 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
     (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984), up to the last order
     whose Bessel weight reaches ``SERIES_TOL`` at some wavelength.  The
     three-term recurrence of T_k runs on one real block holding every
-    wavelength's column (real and imaginary parts for complex amps), so each
-    term is one matrix product with A shared by all wavelengths.  Order k
-    runs only on the guides of its ``_light_cone``: those that can be
-    nonzero by then and can still reach a returned guide.  Every skipped
-    entry is an exact zero or never reaches a returned row.  The term
-    count grows with a z, so a wavelength with a z above
-    ``SERIES_MAX_ARGUMENT`` goes through ``_unitary_amplitudes`` instead.  A
-    non-finite result raises NumericalError.  No wavelengths give no rows.
+    wavelength's column, so each term is one matrix product with A shared
+    by all wavelengths.  Order k runs only on the guides of its
+    ``_light_cone``: those that can be nonzero by then and can still reach
+    a returned guide.  Every skipped entry is an exact zero or never
+    reaches a returned row.  The term count grows with a z, so a wavelength
+    with a z above ``SERIES_MAX_ARGUMENT`` goes through
+    ``_unitary_amplitudes`` instead.  A non-finite result raises
+    NumericalError.  No wavelengths give no rows.
     """
     lams = np.asarray(lams, dtype=float)
     if not 0 <= z < math.inf:
         raise ValueError(f"z must be finite and non-negative, got {z}")
+    if np.iscomplexobj(amps) and amps.imag.any():
+        raise ValueError("the launch vector must be real")
+    amps = np.real(amps)
     keep = amps.size if rows is None else rows
     if lams.size == 0:
         return np.empty((0, keep), dtype=complex)
@@ -290,18 +294,13 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
             out[~long] = _wavelength_amplitudes(net, lams[~long], amps, z, rows)
         return out
 
-    # 2 (H - e)/a v = shift * v + scale * (A v); a column per wavelength, or
-    # two (real, imaginary) for complex amps
-    parts = 2 if amps.imag.any() else 1
+    # 2 (H - e)/a v = shift * v + scale * (A v), a column per wavelength
     a = np.where(half > 0, half, 1.0)
-    diagonal -= center
-    diagonal *= 2.0 / a
-    shift = np.repeat(diagonal, parts, axis=1)
-    scale = np.repeat(2.0 * cscale / a, parts)
-    weights = np.repeat(_series_weights(half * z), parts, axis=1)
+    shift = (diagonal - center) * (2.0 / a)
+    scale = 2.0 * cscale / a
+    weights = _series_weights(half * z)
     cone = _light_cone(couplings, amps, weights.shape[0], keep)
-    cur = np.repeat((amps if parts == 2 else amps.real)[:, None], lams.size, axis=1)
-    cur = cur.view(float)
+    cur = np.repeat(amps[:, None], lams.size, axis=1)
 
     # the diagonal term acts only on the rows [lo, hi) where shift is nonzero
     on = np.flatnonzero(shift.any(axis=1))
@@ -330,13 +329,8 @@ def _wavelength_amplitudes(net: NetworkSpec, lams, amps: np.ndarray,
         prev, cur, nxt = cur, nxt, prev
 
     # psi = exp(-iez) (even - i odd)
-    if parts == 2:
-        psi = odd.view(complex)
-        psi *= -1j
-        psi += even.view(complex)
-    else:
-        psi = even.astype(complex)
-        np.negative(odd, out=psi.imag)
+    psi = even.astype(complex)
+    np.negative(odd, out=psi.imag)
     psi *= np.exp(-1j * center * z)
     if not np.all(np.isfinite(psi)):
         raise NumericalError("Chebyshev series of exp(-iHz) is not finite")
@@ -422,12 +416,10 @@ def _scaling_exponent(norm: float) -> int:
     return max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
 
 
-def _expm(stack: np.ndarray, s: Optional[int] = None) -> np.ndarray:
+def _expm(stack: np.ndarray, s: int) -> np.ndarray:
     """exp(A) for each A of a stack: Pade-13 scaling and squaring (Higham's
-    Algorithm 2.3), one scaling 2^-s for the stack, by default the
-    ``_scaling_exponent`` of its largest 1-norm."""
-    if s is None:
-        s = _scaling_exponent(float(np.abs(stack).sum(axis=-2).max()))
+    Algorithm 2.3) with the one scaling 2^-s that the caller gives, as
+    ``_propagate`` takes each run's from ``_scaling_exponent``."""
     a = stack / 2.0 ** s
     a2 = a @ a
     a4 = a2 @ a2
@@ -663,7 +655,7 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
     rhos, etas, _ = _lindblad_runs([h], [[dephasing_rate]], kappa, target, dephasing_site,
                                    rho0, zs)
     pops = np.real(np.einsum("zii->zi", rhos[0]))[:, : h.n_system]
-    return EvolutionTrace(zs, pops, etas[0], h.n_system, rhos[0])
+    return EvolutionTrace(zs, pops, etas[0], rhos[0])
 
 
 @dataclass(frozen=True)
@@ -677,16 +669,9 @@ class NoReturnReport:
     threshold: float
 
     @property
-    def end_population_ok(self) -> bool:
-        return self.max_end_population <= self.threshold
-
-    @property
-    def system_shift_ok(self) -> bool:
-        return self.max_system_shift <= self.threshold
-
-    @property
     def passed(self) -> bool:
-        return self.end_population_ok and self.system_shift_ok
+        return (self.max_end_population <= self.threshold
+                and self.max_system_shift <= self.threshold)
 
 
 def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float) -> NoReturnReport:

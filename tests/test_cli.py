@@ -318,6 +318,11 @@ def test_non_finite_series_exits_3_without_csv(tmp_path, monkeypatch, capsys, co
     ("check", {"spectrum.fwhm_nm": 1580.0}),
     ("check", {"spectrum.fwhm_nm": 1600.0}),
     ("check", {"spectrum.fwhm_nm": 400.0, "spectrum.shape": "gaussian"}),
+    # windows whose grid reaches a wavelength that is not positive, or one
+    # whose coupling scale overflows
+    ("sweep-wavelength", {"experiment.wavelength_min_nm": -10.0}),
+    ("sweep-wavelength", {"experiment.wavelength_min_nm": 0.0}),
+    ("sweep-wavelength", {"experiment.wavelength_max_nm": 100000.0}),
 ])
 def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     raw = default_config_dict()
@@ -400,6 +405,22 @@ def test_package_runs_without_scipy():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_sweep_is_byte_identical_for_any_blas_thread_count(tmp_path):
+    # the wavelength propagator's matrix products must not round by thread
+    src = str(Path(enaqt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-m", "enaqt.cli", "sweep-wavelength",
+                              str(bundled_network_path()), "--output-dir", str(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        blobs.append((out / "wavelength_sweep.csv").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_every_export_resolves():

@@ -162,8 +162,10 @@ def test_coupling_scale_is_one_at_center():
 
 
 def test_system_block_strips_sink(design_net):
+    # the system block is built without the sink: the leading block of the
+    # full H, bit for bit
     h = build_hamiltonian(design_net, LAMBDA0)
-    block = h.system_block()
+    block = build_hamiltonian(design_net, LAMBDA0, include_sink=False)
     assert block.dimension == 4
     assert not block.has_sink
     assert np.array_equal(block.entries, h.entries[:4, :4])

@@ -17,8 +17,8 @@ from enaqt import (DispersionModel, HamiltonianMatrix, NetworkSpec, SinkSpec,
 from enaqt import analysis, decoherence, propagate
 from enaqt.lattice import DETUNING_LAWS
 from enaqt.propagate import (NumericalError, _check_density_stack, _density_margins, _expm,
-                             _lindblad_runs, _propagate, _unitary_amplitudes,
-                             _wavelength_amplitudes)
+                             _lindblad_runs, _propagate, _scaling_exponent,
+                             _unitary_amplitudes, _wavelength_amplitudes)
 from conftest import DARK_VECTOR, LAMBDA0
 
 ZS = np.arange(0.0, 15.0 + 1e-9, 0.1)
@@ -250,7 +250,7 @@ def _count_expm_calls(monkeypatch):
     """The number of matrices of each ``_expm`` call, in call order."""
     sizes = []
 
-    def counting(stack, s=None):
+    def counting(stack, s):
         sizes.append(stack.shape[0])
         return _expm(stack, s)
 
@@ -343,7 +343,8 @@ def _unit_norm_generator(n, seed):
     np.stack([_unit_norm_generator(4, 7) * 40.0]),
 ], ids=["zero", "jordan-block", "mixed-norm-stack", "squared"])
 def test_expm_matches_scipy(stack):
-    got = _expm(stack)
+    # one scaling for the stack, set by its largest 1-norm
+    got = _expm(stack, _scaling_exponent(float(np.abs(stack).sum(axis=-2).max())))
     for a, exp_a in zip(stack, got):
         want = scipy.linalg.expm(a)
         assert np.max(np.abs(exp_a - want)) <= 1e-13 * np.max(np.abs(want))
@@ -351,14 +352,14 @@ def test_expm_matches_scipy(stack):
 
 def test_expm_failure_is_numerical_error(monkeypatch):
     with pytest.raises(NumericalError, match="1-norm"):
-        _expm(np.full((1, 2, 2), np.nan))
+        _expm(np.full((1, 2, 2), np.nan), _scaling_exponent(math.nan))
 
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(NumericalError, match="singular"):
-        _expm(np.eye(2)[None])
+        _expm(np.eye(2)[None], _scaling_exponent(1.0))
 
 
 def test_lindblad_matches_liouvillian_exponential(h_system, design_kappa):
@@ -728,10 +729,11 @@ _Z_ENTRY_POINTS = {
     "evolve_unitary": lambda net, z: evolve_unitary(
         build_hamiltonian(net, LAMBDA0), site_state(net.dimension, 0), [0.0, z]),
     "evolve_trapped": lambda net, z: evolve_trapped(
-        build_hamiltonian(net, LAMBDA0).system_block(), 1.0, 2, site_state(4, 0), [0.0, z]),
-    "evolve_lindblad": lambda net, z: evolve_lindblad(
-        build_hamiltonian(net, LAMBDA0).system_block(), 1.0, 2, 0.0, 3, site_state(4, 0),
+        build_hamiltonian(net, LAMBDA0, include_sink=False), 1.0, 2, site_state(4, 0),
         [0.0, z]),
+    "evolve_lindblad": lambda net, z: evolve_lindblad(
+        build_hamiltonian(net, LAMBDA0, include_sink=False), 1.0, 2, 0.0, 3,
+        site_state(4, 0), [0.0, z]),
     "coherent_efficiency": lambda net, z: decoherence.coherent_efficiency(net, [LAMBDA0], z),
     "enaqt_map": lambda net, z: analysis.enaqt_map(net, [0.0, z], [0.0, 0.01]),
     "sweep_bandwidth": lambda net, z: analysis.sweep_bandwidth(net, [0.0, 20.0], z),
@@ -758,7 +760,7 @@ def test_no_return_requires_explicit_sink(design_net_open):
 
 def _eigh_rows(net, lams, amps, z):
     return np.array([_unitary_amplitudes(build_hamiltonian(net, float(lam)), amps,
-                                         np.array([z]))[0] for lam in lams])
+                                         np.array([z]), slice(None))[0] for lam in lams])
 
 
 @pytest.fixture(scope="module")
@@ -845,20 +847,42 @@ def dispersive_networks(draw):
                        input_site=draw(st.sampled_from([0, n - 1])), target_site=n - 1)
 
 
-@given(net=dispersive_networks(), z=st.floats(0.0, 30.0), complex_state=st.booleans(),
+@given(net=dispersive_networks(), z=st.floats(0.0, 30.0),
        lams=st.lists(st.floats(700.0, 900.0), min_size=1, max_size=6), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_wavelength_amplitudes_match_eigh_random_networks(net, z, complex_state, lams,
-                                                          data):
-    if complex_state:
-        amps = np.exp(1j * np.arange(net.dimension)) / math.sqrt(net.dimension)
-    else:
-        amps = site_state(net.dimension, net.input_site)
+def test_wavelength_amplitudes_match_eigh_random_networks(net, z, lams, data):
+    amps = site_state(net.dimension, net.input_site)
     rows = data.draw(st.sampled_from([None, *range(1, net.n_sites + 1)]), label="rows")
     got = _wavelength_amplitudes(net, lams, amps, z, rows)
     want = _eigh_rows(net, lams, amps, z)[:, :rows]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@given(net=dispersive_networks(), z=st.floats(0.0, 30.0), center=st.floats(750.0, 850.0),
+       fwhm=st.floats(0.0, 100.0), shape=st.sampled_from(decoherence.SPECTRUM_SHAPES),
+       nodes=st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_ensemble_average_of_a_complex_state_matches_eigh_random_networks(
+        net, z, center, fwhm, shape, nodes):
+    # the kernel takes real launches; a complex state runs as its real and
+    # imaginary parts, whose averaged density must be the eigh route's
+    amps = np.exp(1j * np.arange(net.dimension)) / math.sqrt(net.dimension)
+    spectrum = decoherence.Spectrum(shape, center, fwhm)
+    got = decoherence.ensemble_average(net, spectrum, amps, z, nodes).averaged_density
+    lams, weights = decoherence.spectral_nodes(spectrum, nodes)
+    states = _eigh_rows(net, lams, amps, z)
+    want = np.einsum("k,ki,kj->ij", weights, states, states.conj())
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_wavelength_amplitudes_refuse_an_imaginary_launch(design_net):
+    amps = site_state(design_net.dimension, 0)
+    _wavelength_amplitudes(design_net, [LAMBDA0], amps, 1.0)  # zero imaginary part
+    mixed = (amps + 1j * site_state(design_net.dimension, 1)) / math.sqrt(2)
+    for launch in (1j * amps, mixed):
+        with pytest.raises(ValueError, match="launch vector must be real"):
+            _wavelength_amplitudes(design_net, [LAMBDA0], launch, 1.0)
 
 
 def test_wavelength_amplitudes_exact_without_spread(bundled_sweep):
