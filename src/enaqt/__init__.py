@@ -10,11 +10,11 @@ transport efficiency.
 
 from ._version import __version__
 from .analysis import (DarkStateReport, SweepResult, dark_state_diagnostics,
-                       effective_kappa, enaqt_map, sweep_bandwidth,
-                       sweep_wavelength, wavelength_grid)
+                       effective_kappa, enaqt_map, sweep_bandwidth, sweep_wavelength)
 from .calibration import (CouplingCurve, effective_trap_rate, fit_coupling_curve,
                           pair_transfer)
-from .config import ConfigError, RunConfig, bundled_network_path, parse_config
+from .config import (ConfigError, RunConfig, bundled_network_path, parse_config,
+                     wavelength_grid)
 from .decoherence import (EnsembleResult, Spectrum, coherence_decay_pair,
                           coherence_time, decoherence_strength, ensemble_average,
                           g1, spectral_nodes, tophat_gamma_closed_form)

@@ -4,7 +4,8 @@ Three numerical experiments are provided: a coherent wavelength sweep with
 an explicit sink (device-like), a bandwidth sweep comparing the spectral
 ensemble against a pure-dephasing master equation (the two routes to the
 same decoherence), and an efficiency/enhancement map over propagation
-length and dephasing rate.  Every sweep runs in the calling process: on
+length and dephasing rate; the dephasing route of both is the rate model,
+``effective_rate_runs``.  Every sweep runs in the calling process: on
 these 4-guide problems a process pool costs more to start than the work
 it would spread.
 """
@@ -21,7 +22,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .calibration import effective_trap_rate
-from .config import ConfigError, NumericsConfig, wavelength_grid  # grid rule, re-exported
+from .config import ConfigError, NumericsConfig
 from .decoherence import Spectrum, band_fit, coherent_efficiency, decoherence_strength
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
 from .propagate import _eigh, _lindblad_runs, site_state
@@ -213,36 +214,20 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     bws = np.asarray(bandwidths_nm, dtype=float)
     if not np.all(np.isfinite(bws) & (bws >= 0)):
         raise ValueError("bandwidths must be finite and non-negative")
-    kap = effective_kappa(net)
-    lam0 = net.dispersion.lambda0_nm
-    delta_beta = net.dispersion.detuning0_per_cm
-
-    # the coherent run at the center wavelength is the reference; a zero
-    # bandwidth on the grid is reused for it
-    if np.any(bws == 0.0):
-        points, rows = bws, slice(None)
-    else:
-        points, rows = np.concatenate(([0.0], bws)), slice(1, None)
-    ref = int(np.argmax(points == 0.0))
-    gammas = np.array([
-        decoherence_strength(Spectrum.tophat(lam0, float(b)), delta_beta)
-        if b else 0.0 for b in points])
+    lam0, delta_beta = net.dispersion.lambda0_nm, net.dispersion.detuning0_per_cm
+    points, rows, ref = _with_reference(bws)
+    gammas = np.array([decoherence_strength(Spectrum.tophat(lam0, float(b)), delta_beta)
+                       for b in points])
 
     def enhancement(etas: np.ndarray) -> np.ndarray:
         return _relative_enhancement(etas[rows], etas[ref])
 
+    scales = (1.0, 1.0 - sensitivity, 1.0 + sensitivity) if sensitivity else (1.0,)
+    etas, margins, kap = effective_rate_runs(net, [s * gammas for s in scales], [z_cm], scales)
+    eta_lind = etas.reshape(len(scales), points.size)
+
     fit = band_fit(net, Spectrum.tophat(lam0, float(points.max())), z_cm)
     eta_ens = fit.mean([Spectrum.tophat(lam0, float(b)).half_band for b in points])
-
-    # every (detuning scale, gamma) pair in one stack of master-equation runs.
-    # Scaling every detuning by one factor keeps the most detuned site, so
-    # the dephasing site is the nominal network's
-    scales = (1.0, 1.0 - sensitivity, 1.0 + sensitivity) if sensitivity else (1.0,)
-    hams = [build_hamiltonian(_scale_detuning(net, s), lam0, include_sink=False)
-            for s in scales]
-    etas, margins = _lindblad_efficiencies(net, hams, [s * gammas for s in scales], kap,
-                                           [z_cm])
-    eta_lind = etas.reshape(len(scales), points.size)
 
     columns = {
         "bandwidth_nm": bws,
@@ -271,6 +256,15 @@ def sweep_bandwidth(net: NetworkSpec, bandwidths_nm: Sequence[float], z_cm: floa
     return SweepResult(columns=columns, metadata=md)
 
 
+def _with_reference(values: np.ndarray) -> Tuple[np.ndarray, slice, int]:
+    """The runs of a sweep over ``values`` with its coherent reference, the
+    zero that its enhancements divide by: ``values`` with a 0 put first
+    unless it holds one, the rows of ``values`` among those runs, and the
+    index of the first 0."""
+    points = values if np.any(values == 0.0) else np.concatenate(([0.0], values))
+    return points, slice(points.size - values.size, None), int(np.argmax(points == 0.0))
+
+
 def _scale_detuning(net: NetworkSpec, scale: float) -> NetworkSpec:
     if scale == 1.0:
         return net
@@ -280,14 +274,23 @@ def _scale_detuning(net: NetworkSpec, scale: float) -> NetworkSpec:
     return dataclasses.replace(net, site_detunings=detunings, dispersion=disp)
 
 
-def _lindblad_efficiencies(net: NetworkSpec, hams: Sequence[HamiltonianMatrix], rates,
-                           kappa: float, zs) -> Tuple[np.ndarray, Dict[str, float]]:
-    """Trapped fraction eta over ``zs`` of every master-equation run of one
-    stack, shape (runs, nz), as the engine integrates it, from the input
-    site with dephasing on ``dephasing_site(net)``; row i of ``rates`` runs
-    under ``hams[i]``.  Also the stack's density margins, for the manifest."""
-    return _lindblad_runs(hams, rates, kappa, net.target_site, dephasing_site(net),
-                          site_state(net.n_sites, net.input_site), zs)[1:]
+def effective_rate_runs(net: NetworkSpec, rates, z_grid, scales: Sequence[float] = (1.0,)
+                        ) -> Tuple[np.ndarray, Dict[str, float], float]:
+    """The rate model: the system block at lambda0, trapped on the target
+    site at the sink chain's effective rate kappa (``effective_kappa``),
+    launched at the input site and dephased on ``dephasing_site(net)``.
+    Row i of the 2-d ``rates`` runs with every detuning scaled by
+    ``scales[i]`` (the most detuned site stays the dephasing site), all in
+    one master-equation stack over ``z_grid``.  Returns the integrated eta,
+    shape (runs, nz), the stack's density margins and kappa.  A zero rate
+    is ``evolve_trapped``'s run: at gamma = 0 the dephasing site changes no
+    bit."""
+    kappa = effective_kappa(net)
+    hams = [build_hamiltonian(_scale_detuning(net, s), net.dispersion.lambda0_nm,
+                              include_sink=False) for s in scales]
+    _, etas, margins = _lindblad_runs(hams, rates, kappa, net.target_site, dephasing_site(net),
+                                      site_state(net.n_sites, net.input_site), z_grid)
+    return etas, margins, kappa
 
 
 def enaqt_map(net: NetworkSpec, z_grid: Sequence[float],
@@ -305,13 +308,10 @@ def enaqt_map(net: NetworkSpec, z_grid: Sequence[float],
     gammas = np.asarray(gamma_grid, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gamma grid must be non-negative")
-    kap = effective_kappa(net)
-    h_sys = build_hamiltonian(net, net.dispersion.lambda0_nm, include_sink=False)
-    rates = gammas if 0.0 in gammas else np.append(gammas, 0.0)
-    etas, margins = _lindblad_efficiencies(net, [h_sys], [rates], kap, zs)
-    base = etas[np.nonzero(rates == 0.0)[0][0]]
-    etas = etas[: gammas.size]  # (n_gamma, nz)
-    enhancement = _relative_enhancement(etas, base[None, :])
+    rates, rows, ref = _with_reference(gammas)
+    etas, margins, kap = effective_rate_runs(net, [rates], zs)
+    enhancement = _relative_enhancement(etas[rows], etas[ref][None, :])
+    etas = etas[rows]  # (n_gamma, nz)
 
     gg, zz = np.meshgrid(gammas, zs, indexing="ij")
     return SweepResult(

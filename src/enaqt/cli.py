@@ -97,12 +97,8 @@ def _simulate(config: RunConfig, args):
     columns["sink_fraction"] = trace.sink_population
 
     if net.sink is not None:
-        kappa = analysis.effective_kappa(net)
-        h_sys = lattice.build_hamiltonian(net, lam0, include_sink=False)
-        trapped = propagate.evolve_trapped(h_sys, kappa, net.target_site,
-                                           propagate.site_state(net.n_sites, net.input_site),
-                                           zs)
-        columns["sink_fraction_effective_rate"] = trapped.sink_population
+        etas, _, _ = analysis.effective_rate_runs(net, [[0.0]], zs)
+        columns["sink_fraction_effective_rate"] = etas[0]
 
     result = analysis.SweepResult(columns=columns, metadata={"wavelength_nm": lam0})
     return result, "dynamics.csv", "simulate"
@@ -253,9 +249,8 @@ def _cmd_check(args) -> int:
         # are a dark mode's rounding
         rates = -2.0 * np.linalg.eigvals(h_eff).imag
         z_long = 50.0 / rates[rates > 1e-9 * kappa].min()
-        psi0 = propagate.site_state(net.n_sites, net.input_site)
-        trapped = float(propagate.evolve_trapped(h_sys, kappa, net.target_site, psi0,
-                                                 [z_long]).sink_population[-1])
+        etas, _, _ = analysis.effective_rate_runs(net, [[0.0]], [z_long])
+        trapped = float(etas[0, -1])
         gap = abs(trapped - diag.efficiency_bound)
         report("dark-state diagnostics", gap < 1e-6,
                f"{census} vs trapped fraction {trapped:.6f} at z = {z_long:.4g} cm "

@@ -181,13 +181,13 @@ def decoherence_strength(spectrum: Spectrum, delta_beta: float) -> float:
     the angular width; for a tophat it must land on the direct closed form
     ``tophat_gamma_closed_form``, delta_beta * fwhm / (2 pi lambda0), to
     rounding.  Monochromatic light has infinite coherence length, so the
-    strength is exactly 0.
+    strength is exactly 0, whatever ``delta_beta``.
     """
-    if delta_beta <= 0:
-        raise ValueError(f"delta_beta must be positive, got {delta_beta}")
     tau_c = coherence_time(spectrum)
     if math.isinf(tau_c):
         return 0.0
+    if delta_beta <= 0:
+        raise ValueError(f"delta_beta must be positive, got {delta_beta}")
     coherence_length_cm = (2.0 * math.pi * C_LIGHT_CM_PER_S
                            / (delta_beta * nm_to_cm(spectrum.center_nm))) * tau_c
     return 1.0 / coherence_length_cm

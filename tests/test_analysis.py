@@ -409,6 +409,28 @@ def test_enaqt_map_adds_the_coherent_base_run(design_net):
     assert without.metadata["n_gamma"] == 2
 
 
+def test_bandwidth_sweep_adds_the_coherent_base_run(design_net):
+    with_base = sweep_bandwidth(design_net, [0.0, 45.0, 95.0], 15.0)
+    without = sweep_bandwidth(design_net, [45.0, 95.0], 15.0)
+    assert without.n_rows == 2
+    assert list(without.columns) == list(with_base.columns)
+    for name, column in without.columns.items():
+        assert np.array_equal(column, with_base.column(name)[1:]), name
+    # the zero bandwidth is the reference every enhancement divides by
+    for name in ("enaqt_ensemble", "enaqt_lindblad", "enaqt_lindblad_low",
+                 "enaqt_lindblad_high"):
+        assert with_base.column(name)[0] == 0.0, name
+
+
+def test_zero_bandwidth_sweep_needs_no_reference_detuning(design_net):
+    # monochromatic light has gamma exactly 0, whatever the detuning
+    flat = dataclasses.replace(design_net, dispersion=dataclasses.replace(
+        design_net.dispersion, detuning0_per_cm=0.0))
+    result = sweep_bandwidth(flat, [0.0], 15.0)
+    assert result.column("gamma_per_cm").tolist() == [0.0]
+    assert result.column("enaqt_lindblad").tolist() == [0.0]
+
+
 def _augmented_efficiency(net, gamma, z):
     # an independent reference: the column-major Liouvillian with
     # d eta/dz = kappa rho_tt as a last component, one scipy exponential per z

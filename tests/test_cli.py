@@ -125,6 +125,23 @@ def test_simulate_writes_csv_and_manifest(tmp_path, monkeypatch):
                                           "MKL_NUM_THREADS"}
 
 
+def test_simulate_effective_rate_column_is_the_trapped_run(tmp_path):
+    # the bundled run's rate-model column against the public one-run engine
+    # launched at the input guide, bit for bit
+    out = tmp_path / "out"
+    assert main(["simulate", str(bundled_network_path()), "--output-dir", str(out)]) == 0
+    lines = (out / "dynamics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    zs = table[:, header.index("z_cm")]
+    net = enaqt.parse_config(bundled_network_path()).network
+    h_sys = enaqt.build_hamiltonian(net, net.dispersion.lambda0_nm, include_sink=False)
+    want = enaqt.evolve_trapped(h_sys, enaqt.effective_kappa(net), net.target_site,
+                                enaqt.site_state(net.n_sites, net.input_site), zs)
+    assert np.array_equal(table[:, header.index("sink_fraction_effective_rate")],
+                          want.sink_population)
+
+
 def test_sweep_wavelength_outputs(tmp_path):
     cfg = small_config(tmp_path)
     out = tmp_path / "out"
