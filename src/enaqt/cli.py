@@ -116,6 +116,12 @@ def _sweep_wavelength(config: RunConfig, args):
 def _sweep_bandwidth(config: RunConfig, args):
     exp = config.experiment
     bws = wavelength_grid(0.0, 0.0, exp.bandwidth_max_nm, exp.bandwidth_step_nm)
+    detuning = config.network.dispersion.detuning0_per_cm
+    # gamma is proportional to the reference detuning; a zero band needs none
+    if bws.max() > 0 and not detuning > 0:
+        raise ConfigError("network.dispersion.detuning0_per_cm",
+                          f"must be positive to sweep bandwidths up to {bws.max():g} nm, "
+                          f"got {detuning}")
     result = analysis.sweep_bandwidth(config.network, bws, exp.z_cm,
                                       sensitivity=config.numerics.sensitivity_fraction)
     return result, "bandwidth_sweep.csv", "sweep-bandwidth"

@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -39,6 +38,14 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+# the most points a run grid may hold, counted from its edges and step
+# before any grid is built.  The bundled grids hold 20 to 191 points.  A
+# wavelength sweep of the bundled 94-guide network at this cap peaks near
+# 0.7 GiB, so ten times the cap would not fit in a machine of 8 GB; a step
+# past it is most likely a unit slip (a step of 1e-9 nm asks for 1e11 points)
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -260,8 +267,20 @@ def config_from_dict(raw: Dict) -> RunConfig:
         numerics=_parse_simple(raw.get("numerics", {}), NumericsConfig, "numerics"),
     )
     _check_wavelengths(config)
+    _check_grid_sizes(config)
     _check_sink(config)
     return config
+
+
+def _grid_indices(lambda0_nm: float, min_nm: float, max_nm: float,
+                  step_nm: float) -> Tuple[float, float]:
+    """The least and the greatest k of the points lambda0 + step k of
+    ``wavelength_grid``, as whole floats (infinite for a step too fine to
+    count them); the grid is empty where the first exceeds the second."""
+    if step_nm <= 0:
+        raise ValueError(f"step must be positive, got {step_nm}")
+    return (float(np.ceil((min_nm - lambda0_nm) / step_nm - 1e-12)),
+            float(np.floor((max_nm - lambda0_nm) / step_nm + 1e-12)))
 
 
 def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
@@ -273,13 +292,10 @@ def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
     1e-12 of a step, so a range that is no whole number of steps stops at
     its last whole step.
     """
-    if step_nm <= 0:
-        raise ValueError(f"step must be positive, got {step_nm}")
-    k_lo = math.ceil((min_nm - lambda0_nm) / step_nm - 1e-12)
-    k_hi = math.floor((max_nm - lambda0_nm) / step_nm + 1e-12)
+    k_lo, k_hi = _grid_indices(lambda0_nm, min_nm, max_nm, step_nm)
     if k_hi < k_lo:
         raise ValueError("empty wavelength grid")
-    return lambda0_nm + step_nm * np.arange(k_lo, k_hi + 1)
+    return lambda0_nm + step_nm * np.arange(int(k_lo), int(k_hi) + 1)
 
 
 def _check_wavelengths(config: RunConfig) -> None:
@@ -287,24 +303,25 @@ def _check_wavelengths(config: RunConfig) -> None:
     wavelength window that holds no point of the grid through the
     network's lambda0, or an edge of a sampled range that fails the
     usable-wavelength rule of ``DispersionModel.coupling_scale``.  The
-    ranges are the window's grid (its first and last point), the sweep's
-    widest tophat and the spectrum's band; a band's long edge runs off to
-    zero frequency as a tophat's full width nears 2 lambda0.  Both
-    dispersion scales are monotone in lambda, so a range whose edges pass
-    holds no unusable wavelength."""
+    ranges are the window's grid (its first and last point, found without
+    building it), the sweep's widest tophat and the spectrum's band; a
+    band's long edge runs off to zero frequency as a tophat's full width
+    nears 2 lambda0.  Both dispersion scales are monotone in lambda, so a
+    range whose edges pass holds no unusable wavelength."""
     exp = config.experiment
     disp = config.network.dispersion
-    try:
-        grid = wavelength_grid(disp.lambda0_nm, exp.wavelength_min_nm,
+    k_lo, k_hi = _grid_indices(disp.lambda0_nm, exp.wavelength_min_nm,
                                exp.wavelength_max_nm, exp.wavelength_step_nm)
-    except ValueError:
+    if k_hi < k_lo:
         raise ConfigError(
             "experiment.wavelength_min_nm",
             f"no point of the {exp.wavelength_step_nm} nm grid through {disp.lambda0_nm} nm "
             f"lies in [wavelength_min_nm, wavelength_max_nm] = "
-            f"[{exp.wavelength_min_nm}, {exp.wavelength_max_nm}]") from None
-    edges = [("experiment.wavelength_min_nm", "window", grid[0]),
-             ("experiment.wavelength_max_nm", "window", grid[-1])]
+            f"[{exp.wavelength_min_nm}, {exp.wavelength_max_nm}]")
+    edges = [("experiment.wavelength_min_nm", "window",
+              disp.lambda0_nm + exp.wavelength_step_nm * k_lo),
+             ("experiment.wavelength_max_nm", "window",
+              disp.lambda0_nm + exp.wavelength_step_nm * k_hi)]
     bands = [("experiment.bandwidth_max_nm",
               Spectrum.tophat(disp.lambda0_nm, exp.bandwidth_max_nm)),
              ("spectrum.fwhm_nm", config.spectrum)]
@@ -315,6 +332,23 @@ def _check_wavelengths(config: RunConfig) -> None:
         except ValueError as exc:
             raise ConfigError(key, f"the {what} reaches an unusable wavelength ({exc}); "
                                    f"narrow the {what}") from None
+
+
+def _check_grid_sizes(config: RunConfig) -> None:
+    """Reject a run grid of more than ``MAX_GRID_POINTS`` points, naming its
+    step, from the count of its points: no grid is built."""
+    exp = config.experiment
+    grids = (("z_step_cm", 0.0, 0.0, exp.z_cm),
+             ("wavelength_step_nm", config.network.dispersion.lambda0_nm,
+              exp.wavelength_min_nm, exp.wavelength_max_nm),
+             ("bandwidth_step_nm", 0.0, 0.0, exp.bandwidth_max_nm),
+             ("gamma_step_per_cm", 0.0, 0.0, exp.gamma_max_per_cm))
+    for key, anchor, lo, hi in grids:
+        k_lo, k_hi = _grid_indices(anchor, lo, hi, getattr(exp, key))
+        if not k_hi - k_lo < MAX_GRID_POINTS:
+            raise ConfigError(f"experiment.{key}",
+                              f"gives {k_hi - k_lo + 1:.3g} grid points over [{lo}, {hi}], "
+                              f"more than {MAX_GRID_POINTS}; use a coarser step")
 
 
 def _check_sink(config: RunConfig) -> None:

@@ -69,7 +69,8 @@ class Spectrum:
     """Illumination spectral density.
 
     ``fwhm_nm`` is the full width for the tophat and the FWHM for the
-    gaussian; a width of 0 is monochromatic light at ``center_nm``.
+    gaussian; a width of 0 is monochromatic light at ``center_nm``, and so
+    is a positive width whose half-band underflows to 0 rad/s.
     """
 
     shape: str
@@ -121,7 +122,11 @@ class Spectrum:
 
     @property
     def is_monochromatic(self) -> bool:
-        return self.fwhm_nm == 0.0
+        """Zero width, or a positive width so small (below about
+        2.5e-317 nm, where its conversion to cm underflows) that the band is
+        its center: the one center node is then the spectrum exactly, where
+        a quadrature would divide 0 by 0."""
+        return self.half_band == 0.0
 
 
 def _sinc(x: float) -> float:

@@ -14,6 +14,7 @@ all rates are in cm^-1 and distances in cm.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -31,7 +32,7 @@ SERIES_MAX_ARGUMENT = 1000.0
 # many step matrices, which bounds the memory a call needs beyond its output
 STEP_STACK = 64
 # an _expm call takes at most this many step matrices: its Pade temporaries
-# (~1 MiB for the 17 x 17 generators of 4 guides) then stay within one
+# (~0.5 MiB for the real 17 x 17 generators of 4 guides) then stay within one
 # core's L2 cache, and the memory a call needs stays small
 EXPM_STACK = 16
 # the bounds past which _check_density_stack calls a density stack unphysical
@@ -379,12 +380,13 @@ def _propagate(gens: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
         scaled = gens[:, None] * dz if np.isfinite(gens).all() else gens
         norms = np.abs(scaled).sum(axis=-2).reshape(gens.shape[0], -1).max(axis=1)
         exponents = np.array([_scaling_exponent(norm) for norm in norms.tolist()])
+    dtype = np.result_type(gens, v)
     starts = np.broadcast_to(v, gens.shape[:2])
-    out = np.empty((gens.shape[0], zs.size, gens.shape[1]), dtype=complex)
+    out = np.empty((gens.shape[0], zs.size, gens.shape[1]), dtype=dtype)
     per_chunk = max(1, STEP_STACK // max(1, n_moving))
     for lo in range(0, gens.shape[0], per_chunk):
         chunk = slice(lo, lo + per_chunk)
-        steps = np.empty((n_moving,) + gens[chunk].shape, dtype=complex)
+        steps = np.empty((n_moving,) + gens[chunk].shape, dtype=dtype)
         for s in np.unique(exponents[chunk]):
             # the (run, step) pairs of this exponent, run by run
             same = np.flatnonzero(exponents[chunk] == s)
@@ -392,7 +394,7 @@ def _propagate(gens: np.ndarray, v: np.ndarray, zs: np.ndarray) -> np.ndarray:
             for i in range(0, runs.size, EXPM_STACK):
                 r, k = runs[i:i + EXPM_STACK], step[i:i + EXPM_STACK]
                 steps[k, r] = _expm(gens[lo + r] * dz[k], int(s))
-        v = starts[chunk].astype(complex)
+        v = starts[chunk].astype(dtype)
         for k, j in enumerate(step_of):
             if moving[j]:
                 v = np.matmul(steps[step_index[j]], v[..., None])[..., 0]
@@ -409,11 +411,12 @@ _THETA13 = 5.371920351148152
 
 def _scaling_exponent(norm: float) -> int:
     """The s of the scaling 2^-s that brings a 1-norm within theta_13: the
-    least s >= 0, 0 for a zero norm.  A NaN or inf norm raises
+    least s >= 0, 0 for a norm already within it (a subnormal norm included,
+    whose ratio to theta_13 underflows to 0).  A NaN or inf norm raises
     NumericalError."""
     if not math.isfinite(norm):
         raise NumericalError(f"cannot exponentiate a generator of 1-norm {norm}")
-    return max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+    return math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
 
 
 def _expm(stack: np.ndarray, s: int) -> np.ndarray:
@@ -569,6 +572,27 @@ def _check_density_stack(rhos: np.ndarray, etas: Optional[np.ndarray] = None
     return margins
 
 
+@functools.cache
+def _hermitian_coordinates(dim: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dim^2 real coordinates of a Hermitian dim x dim matrix rho:
+    Re rho_ij for i <= j, then Im rho_ij for i < j, each set row by row, so
+    the dim (dim + 1) / 2 real parts come first.  For each coordinate: the
+    row-major index of rho_ij, that of its mirror rho_ji, and the sign the
+    coordinate has in the mirror, +1 for a real part and -1 for an
+    imaginary part off the diagonal, 0 on it, where the mirror is rho_ii
+    itself.  Computed once per dim and read-only, so no caller can change
+    a later call's."""
+    upper, strict = np.triu_indices(dim), np.triu_indices(dim, 1)
+    rows = np.concatenate([upper[0], strict[0]])
+    cols = np.concatenate([upper[1], strict[1]])
+    sign = np.where(rows == cols, 0.0, 1.0)
+    sign[upper[0].size:] = -1.0
+    maps = (rows * dim + cols, cols * dim + rows, sign)
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
 def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, target: int,
                    dephasing_site: int, rho0, z_grid
                    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
@@ -577,13 +601,26 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
     their ``_check_density_stack`` margins.
 
     Row i of the 2-d ``rates`` holds the dephasing rates run under
-    ``hams[i]``; runs are taken row by row.  Every generator is
-    L0(H) - gamma diag(mask) on the row-major density, with
-    L0 = -i(H_eff x I - I x conj(H_eff)) built once per Hamiltonian from the
-    trapping generator ``_trapped_hamiltonian``, plus a last component
-    deta/dz = kappa rho_tt (kappa at column t d + t), so eta is integrated,
-    never taken as 1 - tr rho, which loses its digits while little is
-    trapped.  All runs step together through one ``_propagate`` call.  See
+    ``hams[i]``; runs are taken row by row.  A Lindblad generator maps
+    Hermitian matrices to Hermitian matrices, so every run evolves the
+    d^2 real coordinates of its density (``_hermitian_coordinates``: the
+    real parts Re rho_ij, i <= j, then the imaginary parts Im rho_ij,
+    i < j) plus eta, under a real (d^2 + 1) x (d^2 + 1) generator: the
+    coherence-vector form (Alicki and Lendi, Quantum Dynamical Semigroups
+    and Applications, LNP 286, 1987).  Its coordinate block is the real
+    part of P L0 Q, with L0 = -i(H_eff x I - I x conj(H_eff)) the row-major
+    Liouvillian of the trapping generator H_eff (``_trapped_hamiltonian``),
+    Q the map from coordinates to a Hermitian matrix and P its inverse.  It
+    is built once per Hamiltonian in real arithmetic: the commutator with
+    Re H_eff = H couples each real part to the imaginary parts and back,
+    and the loss Im H_eff,ii + Im H_eff,jj of rho_ij, less gamma on both
+    coordinates of each damped coherence, is its diagonal.  The last row is
+    deta/dz = kappa rho_tt, kappa in the column of the coordinate
+    Re rho_tt, so eta is integrated, never taken as 1 - tr rho, which loses
+    its digits while little is trapped.  All runs step together through
+    one real ``_propagate`` call.  The densities are scattered back from
+    the coordinates, rho_ji = conj(rho_ij) exactly, so their
+    ``max_hermiticity_error`` is 0 by construction.  See
     ``evolve_lindblad``, the one-run case, for the model.
     """
     rates = np.asarray(rates, dtype=float)
@@ -599,21 +636,41 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
     if not 0 <= dephasing_site < dim:
         raise ValueError(f"dephasing site {dephasing_site} out of range")
 
+    at, mirror, sign = _hermitian_coordinates(dim)
+    n_re = dim * (dim + 1) // 2
+    rows, cols = np.divmod(at, dim)
     eye = np.eye(dim)
-    # damped coherences: the dephasing site against every other
-    mask = np.zeros((dim, dim))
-    mask[dephasing_site, :] = mask[:, dephasing_site] = 1.0
-    np.fill_diagonal(mask, 0.0)
-    dephasing = np.diag(mask.ravel())
-    gens = np.zeros((rates.size, dim * dim + 1, dim * dim + 1), dtype=complex)
+    # the coherences between the dephasing site and every other site, both
+    # coordinates of each
+    damped = ((rows == dephasing_site) != (cols == dephasing_site)).astype(float)
+    coords = np.arange(dim * dim)
+    gens = np.zeros((rates.size, dim * dim + 1, dim * dim + 1))
     for i, h in enumerate(hams):
         h_eff = _trapped_hamiltonian(h, kappa, target)
-        base = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+        # -i[H, rho] on the row-major density is -i (H x I - I x H) vec rho:
+        # it maps the real parts to the imaginary parts and back.  Entry
+        # (ij, kl) of H x I - I x H is H_ik d_jl - d_ik H_jl (H symmetric)
+        h_sym = h_eff.real
+        comm = (h_sym[:, None, :, None] * eye[None, :, None, :]
+                - eye[:, None, :, None] * h_sym[None, :, None, :]).reshape(dim * dim, -1)
+        # column c: comm applied to the matrix of coordinate c alone
+        cq = comm[:, at] + comm[:, mirror] * sign
         row = slice(i * rates.shape[1], (i + 1) * rates.shape[1])
-        gens[row, :-1, :-1] = base - rates[i, :, None, None] * dephasing
-    gens[:, -1, target * (dim + 1)] = kappa
-    out = _propagate(gens, np.append(rho.ravel(), 0.0), zs)
-    rhos, etas = out[..., :-1].reshape(rates.size, zs.size, dim, dim), out[..., -1].real
+        gens[row, :n_re, n_re:-1] = cq[at[:n_re], n_re:]
+        gens[row, n_re:-1, :n_re] = -cq[at[n_re:], :n_re]
+        # the trapping loss of rho_ij is Im H_eff,ii + Im H_eff,jj
+        loss = h_eff.diagonal().imag
+        gens[row, coords, coords] = loss[rows] + loss[cols] - rates[i, :, None] * damped
+    gens[:, -1, np.flatnonzero(at == target * (dim + 1))[0]] = kappa
+
+    # the coordinates of rho0's Hermitian part
+    half = 0.5 * (rho.ravel()[at] + rho.ravel()[mirror].conj())
+    out = _propagate(gens, np.concatenate([half.real[:n_re], half.imag[n_re:], [0.0]]), zs)
+    flat = np.zeros(out.shape[:2] + (dim * dim,), dtype=complex)
+    flat.real[..., at[:n_re]] = flat.real[..., mirror[:n_re]] = out[..., :n_re]
+    flat.imag[..., at[n_re:]] = out[..., n_re:-1]
+    flat.imag[..., mirror[n_re:]] = -out[..., n_re:-1]
+    rhos, etas = flat.reshape(rates.size, zs.size, dim, dim), out[..., -1]
     return rhos, etas, _check_density_stack(rhos, etas)
 
 
@@ -628,15 +685,18 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
     gamma/2; this matches quantifying decoherence through the decay of the
     interference envelope).
 
-    Exact for this z-independent generator: the row-major Liouvillian
+    Exact for this z-independent generator: the Liouvillian
     -i(H x I - I x H^T) - (kappa/2)(P x I + I x P) - gamma diag(mask),
-    with the trapped fraction deta/dz = kappa rho_tt as one more component,
-    is exponentiated once per distinct nonzero grid step, and a uniform
-    grid steps by one h after its first z (``_grid_steps``).
-    ``sink_population`` is that eta.  Unphysical output (trace growth, a
-    negative eigenvalue, lost Hermiticity, tr rho + eta off 1) raises
-    NumericalError.  This is the one-run case of ``_lindblad_runs``, which
-    sweeps run as one stack.
+    taken on the d^2 real coordinates of the Hermitian density (Re rho_ij,
+    i <= j, then Im rho_ij, i < j), with the trapped fraction
+    deta/dz = kappa rho_tt as one more coordinate (its row reads
+    Re rho_tt), is a real matrix.  It is exponentiated once per distinct
+    nonzero grid step, and a uniform grid steps by one h after its first z
+    (``_grid_steps``).  The run starts from the Hermitian part of rho0, and
+    its densities are Hermitian by construction.  ``sink_population`` is
+    that eta.  Unphysical output (trace growth, a negative eigenvalue,
+    tr rho + eta off 1) raises NumericalError.  This is the one-run case of
+    ``_lindblad_runs``, which sweeps run as one stack.
 
     Parameters
     ----------

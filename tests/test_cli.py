@@ -340,6 +340,11 @@ def test_non_finite_series_exits_3_without_csv(tmp_path, monkeypatch, capsys, co
     ("sweep-wavelength", {"experiment.wavelength_min_nm": -10.0}),
     ("sweep-wavelength", {"experiment.wavelength_min_nm": 0.0}),
     ("sweep-wavelength", {"experiment.wavelength_max_nm": 100000.0}),
+    # steps too fine for any grid to be built: refused from the point count
+    ("sweep-wavelength", {"experiment.wavelength_step_nm": 1e-9}),
+    ("simulate", {"experiment.z_step_cm": 1e-9}),
+    ("sweep-bandwidth", {"experiment.bandwidth_step_nm": 1e-9}),
+    ("map", {"experiment.gamma_step_per_cm": 1e-12}),
 ])
 def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     raw = default_config_dict()
@@ -353,6 +358,22 @@ def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     # every check of these blocks names the key path
     assert f"{next(iter(updates))}: " in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("detuning", [0.0, -1.0])
+def test_bandwidth_sweep_without_reference_detuning_exits_2(tmp_path, capsys, detuning):
+    raw = default_config_dict()
+    raw["network"]["dispersion"]["detuning0_per_cm"] = detuning
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["sweep-bandwidth", str(p), "--output-dir", str(out)]) == 2
+    assert "network.dispersion.detuning0_per_cm: " in capsys.readouterr().err
+    assert not list(out.glob("*"))
+    # a zero band has gamma 0 whatever the detuning, and still runs
+    raw["experiment"]["bandwidth_max_nm"] = 0.0
+    p.write_text(json.dumps(raw))
+    assert main(["sweep-bandwidth", str(p), "--output-dir", str(out)]) == 0
 
 
 def test_unconverged_band_fit_exits_3_without_csv(tmp_path, monkeypatch, capsys):
@@ -519,7 +540,8 @@ def test_lindblad_margins_in_manifest_not_csv(tmp_path, command, csv_name):
     assert -propagate.MAX_TRACE_INCREASE <= margins["max_trace_increase"] \
         <= propagate.MAX_TRACE_INCREASE
     assert propagate.MIN_EIGENVALUE <= margins["min_eigenvalue"] <= 0.0
-    assert 0.0 < margins["max_hermiticity_error"] <= propagate.MAX_HERMITICITY_ERROR
+    # the engine scatters each density from its Hermitian coordinates
+    assert margins["max_hermiticity_error"] == 0.0
     assert 0.0 < margins["max_balance_error"] <= propagate.MAX_BALANCE_ERROR
     header = (out / f"{csv_name}.csv").read_text().splitlines()[0]
     assert not any(key in header
@@ -609,6 +631,19 @@ def test_check_passes_on_bundled_network(tmp_path, capsys):
         assert "[PASS] decoherence strength closed form" in out
         assert "[PASS] pair-transfer oracle" in out
         assert "[FAIL]" not in out
+
+
+def test_check_runs_an_underflowing_band_as_monochromatic(tmp_path, capsys):
+    # a gaussian of 1e-320 nm: its width in cm underflows to 0, so its band
+    # is its center, and the quadrature line has no band to divide by
+    raw = default_config_dict()
+    raw["spectrum"] = {"shape": "gaussian", "center_nm": 792.5, "fwhm_nm": 1e-320}
+    p = tmp_path / "underflow.json"
+    p.write_text(json.dumps(raw))
+    assert main(["check", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "[skip] ensemble quadrature convergence" in out
+    assert "[FAIL]" not in out and "nan" not in out
 
 
 def test_check_dark_state_line_can_fail(tmp_path, capsys):
