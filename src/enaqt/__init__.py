@@ -19,7 +19,7 @@ from .decoherence import (EnsembleResult, Spectrum, coherence_decay_pair,
                           coherence_time, decoherence_strength, ensemble_average,
                           g1, spectral_nodes, tophat_gamma_closed_form)
 from .lattice import (DispersionModel, HamiltonianMatrix, NetworkSpec, SinkSpec,
-                      build_hamiltonian, enaqt4_network)
+                      build_hamiltonian)
 from .propagate import (EvolutionTrace, NoReturnReport, NumericalError,
                         evolve_lindblad, evolve_trapped, evolve_unitary,
                         sink_no_return_check, site_state)
@@ -33,7 +33,7 @@ __all__ = [
     "build_hamiltonian", "bundled_network_path", "coherence_decay_pair",
     "coherence_time", "dark_state_diagnostics", "decoherence_strength",
     "effective_kappa", "effective_trap_rate",
-    "enaqt4_network", "enaqt_map", "ensemble_average", "evolve_lindblad",
+    "enaqt_map", "ensemble_average", "evolve_lindblad",
     "evolve_trapped", "evolve_unitary", "fit_coupling_curve", "g1",
     "pair_transfer", "parse_config",
     "sink_no_return_check", "site_state", "spectral_nodes", "sweep_bandwidth",

@@ -25,7 +25,7 @@ from .calibration import effective_trap_rate
 from .config import ConfigError, NumericsConfig
 from .decoherence import Spectrum, band_fit, coherent_efficiency, decoherence_strength
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
-from .propagate import _eigh, _lindblad_runs, site_state
+from .propagate import _eigh, _lindblad_runs, _trapped_hamiltonian, site_state
 
 # reference efficiencies below this have trapped nothing yet but rounding
 ENHANCEMENT_FLOOR = 1e-15
@@ -291,6 +291,17 @@ def effective_rate_runs(net: NetworkSpec, rates, z_grid, scales: Sequence[float]
     _, etas, margins = _lindblad_runs(hams, rates, kappa, net.target_site, dephasing_site(net),
                                       site_state(net.n_sites, net.input_site), z_grid)
     return etas, margins, kappa
+
+
+def slowest_bright_rate(net: NetworkSpec) -> float:
+    """The slowest population decay rate (cm^-1) of the modes the rate
+    model traps.  Its generator at gamma = 0, the system block at lambda0
+    under H - i(kappa/2)|t><t|, decays each eigenmode at -2 Im of its
+    eigenvalue; a rate below 1e-9 kappa is a dark mode's rounding."""
+    kappa = effective_kappa(net)
+    h = build_hamiltonian(net, net.dispersion.lambda0_nm, include_sink=False)
+    rates = -2.0 * np.linalg.eigvals(_trapped_hamiltonian(h, kappa, net.target_site)).imag
+    return float(rates[rates > 1e-9 * kappa].min())
 
 
 def enaqt_map(net: NetworkSpec, z_grid: Sequence[float],

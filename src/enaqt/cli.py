@@ -187,7 +187,6 @@ def _cmd_check(args) -> int:
     config = parse_config(args.config)
     net = config.network
     num = config.numerics
-    lam0 = net.dispersion.lambda0_nm
     failures = 0
 
     def report(name: str, ok: bool, detail: str):
@@ -220,41 +219,16 @@ def _cmd_check(args) -> int:
         print("[skip] ensemble quadrature convergence: needs a broadband spectrum "
               "and an explicit sink")
 
-    # self-test, whatever the configured spectrum: the closed form for the
-    # decoherence strength of a fixed 95 nm tophat
-    spec_ref = decoherence.Spectrum.tophat(lam0, 95.0)
-    db = net.dispersion.detuning0_per_cm
-    if db > 0:
-        got = decoherence.decoherence_strength(spec_ref, db)
-        want = decoherence.tophat_gamma_closed_form(db, 95.0, lam0)
-        rel = abs(got - want) / want
-        report("decoherence strength closed form (self-test)", rel < 1e-6,
-               f"coherence length {got:.8f} vs closed form {want:.8f} (rel {rel:.1e})")
-    else:
-        print("[skip] decoherence strength: network has no reference detuning")
-
-    # self-test on a fixed pair of guides: the two-guide beat against the
-    # generic propagator
-    c, dbeta, z = 1.3, 0.7, 4.2
-    h2 = lattice.HamiltonianMatrix(np.array([[0.0, c], [c, dbeta]]), lam0, 2)
-    trace = propagate.evolve_unitary(h2, propagate.site_state(2, 0), [z])
-    err = abs(trace.populations[-1, 1] - calibration.pair_transfer(c, dbeta, z))
-    report("pair-transfer oracle (self-test)", err < 1e-10, f"|mismatch| {err:.2e}")
-
     # dark-mode census: the coherent ceiling must be where trapping saturates
-    h_sys = lattice.build_hamiltonian(net, lam0, include_sink=False)
+    h_sys = lattice.build_hamiltonian(net, net.dispersion.lambda0_nm, include_sink=False)
     diag = analysis.dark_state_diagnostics(h_sys, net.target_site, net.input_site,
                                            threshold=num.dark_overlap_threshold)
     census = f"{diag.n_dark} dark mode(s), coherent ceiling {diag.efficiency_bound:.6f}"
     if net.sink is None:
         print(f"[skip] dark-state diagnostics: network has no sink ({census})")
     else:
-        kappa = analysis.effective_kappa(net)
-        h_eff = propagate._trapped_hamiltonian(h_sys, kappa, net.target_site)
-        # slowest bright-mode population decay; rates this far below kappa
-        # are a dark mode's rounding
-        rates = -2.0 * np.linalg.eigvals(h_eff).imag
-        z_long = 50.0 / rates[rates > 1e-9 * kappa].min()
+        # fifty decay lengths of the slowest bright mode
+        z_long = 50.0 / analysis.slowest_bright_rate(net)
         etas, _, _ = analysis.effective_rate_runs(net, [[0.0]], [z_long])
         trapped = float(etas[0, -1])
         gap = abs(trapped - diag.efficiency_bound)

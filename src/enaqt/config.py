@@ -301,8 +301,9 @@ def wavelength_grid(lambda0_nm: float, min_nm: float, max_nm: float,
 def _check_wavelengths(config: RunConfig) -> None:
     """Reject a run input that samples a wavelength the runs cannot use: a
     wavelength window that holds no point of the grid through the
-    network's lambda0, or an edge of a sampled range that fails the
-    usable-wavelength rule of ``DispersionModel.coupling_scale``.  The
+    network's lambda0, a step too fine to count that grid's points (an
+    index of an edge overflows), or an edge of a sampled range that fails
+    the usable-wavelength rule of ``DispersionModel.coupling_scale``.  The
     ranges are the window's grid (its first and last point, found without
     building it), the sweep's widest tophat and the spectrum's band; a
     band's long edge runs off to zero frequency as a tophat's full width
@@ -318,6 +319,12 @@ def _check_wavelengths(config: RunConfig) -> None:
             f"no point of the {exp.wavelength_step_nm} nm grid through {disp.lambda0_nm} nm "
             f"lies in [wavelength_min_nm, wavelength_max_nm] = "
             f"[{exp.wavelength_min_nm}, {exp.wavelength_max_nm}]")
+    if not np.isfinite(k_hi - k_lo):
+        raise ConfigError(
+            "experiment.wavelength_step_nm",
+            f"is too fine to count the grid points over [wavelength_min_nm, "
+            f"wavelength_max_nm] = [{exp.wavelength_min_nm}, {exp.wavelength_max_nm}], "
+            f"got {exp.wavelength_step_nm}")
     edges = [("experiment.wavelength_min_nm", "window",
               disp.lambda0_nm + exp.wavelength_step_nm * k_lo),
              ("experiment.wavelength_max_nm", "window",

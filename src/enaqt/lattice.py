@@ -175,33 +175,6 @@ class HamiltonianMatrix:
         return self.n_system < self.dimension
 
 
-def enaqt4_network(c: float = 1.0,
-                   delta_beta: float = 1.0,
-                   sink: Optional[SinkSpec] = SinkSpec(),
-                   dispersion: Optional[DispersionModel] = None) -> NetworkSpec:
-    """Four-site chain 1-2-3-4 with the last site detuned.
-
-    Site 0 is the input, site 2 the target (and the sink attachment point),
-    and site 3 carries the detuning.  With ``delta_beta == c`` the chain has
-    one eigenmode with no amplitude on the target, which caps the coherent
-    trapping efficiency; breaking that degeneracy with decoherence is the
-    transport-enhancement effect this package simulates.
-    """
-    if c <= 0:
-        raise ValueError(f"chain coupling must be positive, got {c}")
-    if dispersion is None:
-        dispersion = DispersionModel(detuning0_per_cm=delta_beta)
-    return NetworkSpec(
-        n_sites=4,
-        site_detunings=((3, delta_beta),) if delta_beta != 0 else (),
-        couplings=((0, 1, c), (1, 2, c), (2, 3, c)),
-        dispersion=dispersion,
-        sink=sink,
-        input_site=0,
-        target_site=2,
-    )
-
-
 def hamiltonian_parts(net: NetworkSpec,
                       include_sink: bool = True) -> Tuple[np.ndarray, np.ndarray]:
     """The wavelength-independent parts of ``net``'s Hamiltonian.

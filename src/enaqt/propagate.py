@@ -38,7 +38,6 @@ EXPM_STACK = 16
 # the bounds past which _check_density_stack calls a density stack unphysical
 MAX_TRACE_INCREASE = 1e-9
 MIN_EIGENVALUE = -1e-9
-MAX_HERMITICITY_ERROR = 1e-10
 # trapping is the only loss, so tr rho + eta = 1 along every run
 MAX_BALANCE_ERROR = 1e-9
 
@@ -471,8 +470,7 @@ def _trapped_hamiltonian(h: HamiltonianMatrix, kappa: float, target: int) -> np.
 def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
     """How physical a stack of density runs is, shape (runs, nz, d, d) or
     one run (nz, d, d): the largest trace increase within a run (step to
-    step along z, or above 1), the smallest eigenvalue and the largest
-    Hermiticity error.
+    step along z, or above 1) and the smallest eigenvalue.
 
     One pass over the stack in chunks of whole runs, each of at most
     ``STEP_STACK`` d^2 matrices (the size of one step chunk of
@@ -487,7 +485,7 @@ def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
     runs = rhos.reshape((-1,) + rhos.shape[-3:])
     nz, d = runs.shape[1], runs.shape[-1]
     per_chunk = max(1, STEP_STACK * d * d // nz)
-    growth, herm = 0.0, 0.0
+    growth = 0.0
     certified = np.empty(runs.shape[:2], dtype=bool)
     for lo in range(0, runs.shape[0], per_chunk):
         chunk = runs[lo:lo + per_chunk]
@@ -496,18 +494,11 @@ def _density_margins(rhos: np.ndarray) -> Dict[str, float]:
                      float(traces.max()) - 1.0)
         certified[lo:lo + per_chunk] = _certified_positive(
             chunk.reshape(-1, d, d)).reshape(chunk.shape[:2])
-        # conj(rho) - rho^T in place: the conjugate of rho - conj(rho^T), so
-        # the same moduli, with one contiguous temporary
-        error = np.conj(chunk)
-        error -= np.swapaxes(chunk, -1, -2)
-        herm = max(herm, float(np.abs(error).max()))
-        del error  # not held through the next chunk's screen
     suspects = runs[~certified]
     least = float(np.linalg.eigvalsh(suspects).min()) if suspects.size else 0.0
     if not least < 0.0:  # the minimum may be in a certified matrix
         least = float(np.linalg.eigvalsh(rhos).min())
-    return {"max_trace_increase": growth, "min_eigenvalue": least,
-            "max_hermiticity_error": herm}
+    return {"max_trace_increase": growth, "min_eigenvalue": least}
 
 
 def _certified_positive(stack: np.ndarray) -> np.ndarray:
@@ -551,8 +542,8 @@ def _check_density_stack(rhos: np.ndarray, etas: Optional[np.ndarray] = None
     """The ``_density_margins`` of a stack of runs and, given their trapped
     fractions ``etas``, ``max_balance_error`` = max |tr rho + eta - 1|.
     Raise NumericalError on a NaN or infinite density entry, or on a margin
-    past its bound: ``MAX_TRACE_INCREASE``, ``MIN_EIGENVALUE``,
-    ``MAX_HERMITICITY_ERROR`` or ``MAX_BALANCE_ERROR`` (which a NaN fails)."""
+    past its bound: ``MAX_TRACE_INCREASE``, ``MIN_EIGENVALUE`` or
+    ``MAX_BALANCE_ERROR`` (which a NaN fails)."""
     if not np.all(np.isfinite(rhos)):
         raise NumericalError("density stack is not finite")
     margins = _density_margins(rhos)
@@ -561,9 +552,6 @@ def _check_density_stack(rhos: np.ndarray, etas: Optional[np.ndarray] = None
         margins["max_balance_error"] = float(np.abs(traces + etas - 1.0).max())
     if margins["max_trace_increase"] > MAX_TRACE_INCREASE:
         raise NumericalError(f"density trace grows by {margins['max_trace_increase']:.3e}")
-    if margins["max_hermiticity_error"] > MAX_HERMITICITY_ERROR:
-        raise NumericalError("density matrix is not Hermitian "
-                             f"(error {margins['max_hermiticity_error']:.3e})")
     if margins["min_eigenvalue"] < MIN_EIGENVALUE:
         raise NumericalError(f"density matrix has eigenvalue {margins['min_eigenvalue']:.3e}")
     if not margins.get("max_balance_error", 0.0) <= MAX_BALANCE_ERROR:
@@ -619,9 +607,9 @@ def _lindblad_runs(hams: Sequence[HamiltonianMatrix], rates, kappa: float, targe
     Re rho_tt, so eta is integrated, never taken as 1 - tr rho, which loses
     its digits while little is trapped.  All runs step together through
     one real ``_propagate`` call.  The densities are scattered back from
-    the coordinates, rho_ji = conj(rho_ij) exactly, so their
-    ``max_hermiticity_error`` is 0 by construction.  See
-    ``evolve_lindblad``, the one-run case, for the model.
+    the coordinates, rho_ji = conj(rho_ij) exactly, so they are Hermitian
+    by construction.  See ``evolve_lindblad``, the one-run case, for the
+    model.
     """
     rates = np.asarray(rates, dtype=float)
     ok = np.isfinite(rates) & (rates >= 0)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from enaqt import SinkSpec, build_hamiltonian, effective_trap_rate, enaqt4_network
+from enaqt import (NetworkSpec, SinkSpec, build_hamiltonian, bundled_network_path,
+                   effective_trap_rate, parse_config)
 
 LAMBDA0 = 792.5
 
@@ -33,22 +36,32 @@ def pytest_collection_modifyitems(items):
 DARK_VECTOR = np.array([-1.0, -1.0, 0.0, 1.0]) / np.sqrt(3.0)
 
 
+def design_network(**changes) -> NetworkSpec:
+    """The design network, the bundled config's: the chain 1-2-3-4 with
+    the input on site 0, the target (and the sink) on site 2 and the
+    detuning on site 3, with ``changes`` applied by ``dataclasses.replace``.
+    Chain coupling and detuning are 1.0 /cm at 792.5 nm, so one eigenmode
+    has no amplitude on the target; the 90-guide sink is long enough for
+    z = 15 cm."""
+    return dataclasses.replace(parse_config(bundled_network_path()).network, **changes)
+
+
 @pytest.fixture(scope="session")
 def design_net():
     """Design network with a sink long enough for z = 15 cm."""
-    return enaqt4_network()
+    return design_network()
 
 
 @pytest.fixture(scope="session")
 def design_net_short_sink():
     """Same network with a 21-guide sink (too short for z = 15 cm)."""
-    return enaqt4_network(sink=SinkSpec(n_sink=21))
+    return design_network(sink=SinkSpec(n_sink=21))
 
 
 @pytest.fixture(scope="session")
 def design_net_open():
     """The four system guides alone."""
-    return enaqt4_network(sink=None)
+    return design_network(sink=None)
 
 
 @pytest.fixture(scope="session")

