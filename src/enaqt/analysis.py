@@ -25,7 +25,7 @@ from .calibration import effective_trap_rate
 from .config import ConfigError, NumericsConfig
 from .decoherence import Spectrum, band_fit, coherent_efficiency, decoherence_strength
 from .lattice import HamiltonianMatrix, NetworkSpec, build_hamiltonian
-from .propagate import _eigh, _lindblad_runs, _trapped_hamiltonian, site_state
+from .propagate import _eigensolve, _lindblad_runs, _trapped_hamiltonian, site_state
 
 # reference efficiencies below this have trapped nothing yet but rounding
 ENHANCEMENT_FLOOR = 1e-15
@@ -45,7 +45,6 @@ def effective_kappa(net: NetworkSpec) -> float:
 class DarkStateReport:
     """Eigenmode occupancies of the target site and the coherent ceiling."""
 
-    eigenvalues: Tuple[float, ...]
     target_overlaps: Tuple[float, ...]
     dark_indices: Tuple[int, ...]
     dark_vectors: np.ndarray
@@ -73,12 +72,11 @@ def dark_state_diagnostics(h: HamiltonianMatrix, target: int,
         raise ValueError("diagnostics expect the system block only; strip the sink first")
     if not 0 <= target < h.dimension or not 0 <= input_site < h.dimension:
         raise ValueError("target or input site out of range")
-    energies, modes = _eigh(h.entries)
+    _, modes = _eigensolve(np.linalg.eigh, h.entries)
     overlaps = np.abs(modes[target, :]) ** 2
     dark = np.nonzero(overlaps < threshold)[0]
     bound = 1.0 - float(np.sum(np.abs(modes[input_site, dark]) ** 2))
     return DarkStateReport(
-        eigenvalues=tuple(float(e) for e in energies),
         target_overlaps=tuple(float(o) for o in overlaps),
         dark_indices=tuple(int(i) for i in dark),
         dark_vectors=modes[:, dark].copy(),
@@ -300,7 +298,8 @@ def slowest_bright_rate(net: NetworkSpec) -> float:
     eigenvalue; a rate below 1e-9 kappa is a dark mode's rounding."""
     kappa = effective_kappa(net)
     h = build_hamiltonian(net, net.dispersion.lambda0_nm, include_sink=False)
-    rates = -2.0 * np.linalg.eigvals(_trapped_hamiltonian(h, kappa, net.target_site)).imag
+    h_eff = _trapped_hamiltonian(h, kappa, net.target_site)
+    rates = -2.0 * _eigensolve(np.linalg.eigvals, h_eff).imag
     return float(rates[rates > 1e-9 * kappa].min())
 
 

@@ -194,10 +194,14 @@ def _cmd_check(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
 
-    # sink chain long enough for the configured run length
+    # sink chain long enough for the z the runs write: simulate's grid, and
+    # z_cm itself, where the sweeps run, when that grid stops short of it
     if net.sink is not None:
-        rep = propagate.sink_no_return_check(net, config.experiment.z_cm,
-                                             threshold=num.no_return_threshold)
+        exp = config.experiment
+        zs = wavelength_grid(0.0, 0.0, exp.z_cm, exp.z_step_cm)
+        if zs[-1] < exp.z_cm:
+            zs = np.append(zs, exp.z_cm)
+        rep = propagate.sink_no_return_check(net, zs, threshold=num.no_return_threshold)
         report("sink no-return", rep.passed,
                f"end population {rep.max_end_population:.2e}, "
                f"system shift {rep.max_system_shift:.2e} (threshold {rep.threshold})")
@@ -257,9 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
         ``experiment``."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON run configuration")
+        recorded = ("recorded in the manifest" if fn is _run
+                    else "accepted and ignored (check writes no manifest)")
         p.add_argument("--workers", type=int, default=1,
-                       help="recorded in the manifest for compatibility; starts "
-                            "no processes (every sweep runs in this process)")
+                       help=f"{recorded} for compatibility; starts no processes "
+                            "(every sweep runs in this process)")
         p.add_argument("--output-dir", default=None,
                        help="override the output directory")
         p.set_defaults(fn=fn, experiment=experiment)

@@ -41,7 +41,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .lattice import NetworkSpec
 from .propagate import NumericalError, _initial_amplitudes, _wavelength_amplitudes, site_state
-from .units import C_LIGHT_CM_PER_S, nm_to_cm
+
+# the speed of light in vacuum; a wavelength of x nm is x * 1e-7 cm
+C_LIGHT_CM_PER_S = 2.99792458e10
 
 SPECTRUM_SHAPES = ("tophat", "gaussian")
 
@@ -56,7 +58,7 @@ FIT_TAIL = 1e-14
 
 def _angular_frequency(wavelength_nm):
     """Angular frequency (rad/s) of a vacuum wavelength in nm."""
-    return 2.0 * math.pi * C_LIGHT_CM_PER_S / nm_to_cm(wavelength_nm)
+    return 2.0 * math.pi * C_LIGHT_CM_PER_S / (wavelength_nm * 1e-7)
 
 
 def _wavelength_nm(omega):
@@ -101,8 +103,8 @@ class Spectrum:
     @property
     def angular_width(self) -> float:
         """Angular-frequency width matching fwhm_nm (rad/s)."""
-        return (2.0 * math.pi * C_LIGHT_CM_PER_S * nm_to_cm(self.fwhm_nm)
-                / nm_to_cm(self.center_nm) ** 2)
+        return (2.0 * math.pi * C_LIGHT_CM_PER_S * (self.fwhm_nm * 1e-7)
+                / (self.center_nm * 1e-7) ** 2)
 
     @property
     def half_band(self) -> float:
@@ -194,7 +196,7 @@ def decoherence_strength(spectrum: Spectrum, delta_beta: float) -> float:
     if delta_beta <= 0:
         raise ValueError(f"delta_beta must be positive, got {delta_beta}")
     coherence_length_cm = (2.0 * math.pi * C_LIGHT_CM_PER_S
-                           / (delta_beta * nm_to_cm(spectrum.center_nm))) * tau_c
+                           / (delta_beta * (spectrum.center_nm * 1e-7))) * tau_c
     return 1.0 / coherence_length_cm
 
 
@@ -213,7 +215,7 @@ def coherence_decay_pair(delta_beta: float, lambda0_nm: float, spectrum: Spectru
     diagonal Hamiltonian with the detuned guide as the row index.
     """
     # delay tau (s) accumulated between two guides detuned by delta_beta
-    tau = z_cm * delta_beta * nm_to_cm(lambda0_nm) / (2.0 * math.pi * C_LIGHT_CM_PER_S)
+    tau = z_cm * delta_beta * (lambda0_nm * 1e-7) / (2.0 * math.pi * C_LIGHT_CM_PER_S)
     return complex(rho_ab0) * g1(spectrum, tau)
 
 
@@ -371,8 +373,6 @@ class EnsembleResult:
     averaged_populations: np.ndarray
     averaged_density: np.ndarray
     node_count: int
-    wavelengths_nm: np.ndarray
-    weights: np.ndarray
     n_system: int
 
     @property
@@ -407,7 +407,5 @@ def ensemble_average(net: NetworkSpec, spectrum: Spectrum, psi0, z_cm: float,
         averaged_populations=np.real(np.diag(rho)).copy(),
         averaged_density=rho,
         node_count=int(lams.size),
-        wavelengths_nm=lams,
-        weights=weights,
         n_system=net.n_sites,
     )

@@ -154,7 +154,6 @@ class HamiltonianMatrix:
     """
 
     entries: np.ndarray
-    wavelength_nm: float
     n_system: int
 
     def __post_init__(self):
@@ -220,4 +219,4 @@ def build_hamiltonian(net: NetworkSpec, wavelength_nm: float,
     detunings, couplings = hamiltonian_parts(net, include_sink)
     h = disp.coupling_scale(wavelength_nm) * couplings
     np.fill_diagonal(h, disp.detuning_scale(wavelength_nm) * detunings)
-    return HamiltonianMatrix(h, wavelength_nm, net.n_sites)
+    return HamiltonianMatrix(h, net.n_sites)

@@ -135,10 +135,12 @@ def evolve_unitary(h: HamiltonianMatrix, psi0, z_grid) -> EvolutionTrace:
     return EvolutionTrace(zs, pops, 1.0 - pops.sum(axis=1))
 
 
-def _eigh(matrix: np.ndarray):
-    """np.linalg.eigh of a real-symmetric matrix; a failure is a NumericalError."""
+def _eigensolve(solver, matrix: np.ndarray):
+    """``solver(matrix)`` for an np.linalg eigensolver (``eigh`` of a
+    real-symmetric matrix, ``eigvals`` of another); a failure is a
+    NumericalError."""
     try:
-        return np.linalg.eigh(matrix)
+        return solver(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
@@ -149,7 +151,7 @@ def _unitary_amplitudes(h: HamiltonianMatrix, amps: np.ndarray, zs: np.ndarray,
     of the real-symmetric H: the propagator of one Hamiltonian over a z grid.
     Only the entries of the guides that the index ``guides`` selects are
     formed and returned."""
-    energies, modes = _eigh(h.entries)
+    energies, modes = _eigensolve(np.linalg.eigh, h.entries)
     coeffs = modes.conj().T @ amps
     phases = np.exp(-1j * np.outer(zs, energies))
     return (modes[guides] @ (phases * coeffs).T).T
@@ -708,10 +710,8 @@ def evolve_lindblad(h: HamiltonianMatrix, kappa: float, target: int,
 
 @dataclass(frozen=True)
 class NoReturnReport:
-    """Whether an explicit sink chain is long enough for a given run length."""
+    """Whether an explicit sink chain is long enough for a given run."""
 
-    n_sink: int
-    z_max_cm: float
     max_end_population: float
     max_system_shift: float
     threshold: float
@@ -722,10 +722,11 @@ class NoReturnReport:
                 and self.max_system_shift <= self.threshold)
 
 
-def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float) -> NoReturnReport:
+def sink_no_return_check(net: NetworkSpec, z_grid, threshold: float) -> NoReturnReport:
     """Check that light entering the sink never makes it back.
 
-    Two observables over z in [0, z_max], at the center wavelength: the
+    Two observables at each z of ``z_grid`` (non-decreasing from z >= 0;
+    `check` passes the z its runs write), at the center wavelength: the
     population reaching the last sink guide (the wavefront must die out
     before the boundary) and the change in system-site populations when
     the chain is extended by five guides (a direct measure of boundary
@@ -734,12 +735,7 @@ def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float) -> No
     """
     if net.sink is None:
         raise ValueError("network has no explicit sink to check")
-    if not 0 <= z_max < math.inf:
-        raise ValueError(f"z_max must be finite and non-negative, got {z_max}")
-    # a 0.1 cm grid, ending at z_max itself where z_max is off it
-    zs = np.arange(0.0, z_max + 0.05, 0.1)
-    if zs[-1] < z_max:
-        zs = np.append(zs, z_max)
+    zs = _as_zgrid(z_grid)
 
     def run(spec: NetworkSpec):
         # the system guides, then the last sink guide
@@ -754,8 +750,6 @@ def sink_no_return_check(net: NetworkSpec, z_max: float, threshold: float) -> No
     pops_longer = run(longer)
 
     return NoReturnReport(
-        n_sink=net.sink.n_sink,
-        z_max_cm=float(z_max),
         max_end_population=float(pops[:, -1].max()),
         max_system_shift=float(
             np.abs(pops[:, : net.n_sites] - pops_longer[:, : net.n_sites]).max()

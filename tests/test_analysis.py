@@ -40,7 +40,7 @@ def test_dark_diagnostics_detuned_has_none():
 
 
 def test_dark_diagnostics_two_site_chain():
-    h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LAMBDA0, 2)
+    h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
     report = dark_state_diagnostics(h, target=1)
     assert report.n_dark == 0
 
@@ -59,7 +59,7 @@ def _must_not_run(*args, **kwargs):
 def test_dark_diagnostics_refuse_a_threshold_outside_its_range(h_system, monkeypatch,
                                                                threshold):
     # numerics.dark_overlap_threshold's own range: at 2.0 every mode would be dark
-    monkeypatch.setattr(analysis, "_eigh", _must_not_run)
+    monkeypatch.setattr(analysis, "_eigensolve", _must_not_run)
     with pytest.raises(ValueError, match=r"^numerics\.dark_overlap_threshold: "):
         dark_state_diagnostics(h_system, target=2, threshold=threshold)
 
@@ -83,11 +83,21 @@ def test_dark_bound_matches_long_run_trapping():
         if np.any((overlaps >= 1e-12) & (overlaps < 0.02)):
             continue
         kept += 1
-        h = HamiltonianMatrix(m, LAMBDA0, 4)
+        h = HamiltonianMatrix(m, 4)
         report = dark_state_diagnostics(h, target=target, input_site=0)
         trace = evolve_trapped(h, kappa, target, site_state(4, 0), [2000.0])
         assert trace.sink_population[-1] == pytest.approx(report.efficiency_bound,
                                                           abs=1e-3)
+
+
+def test_slowest_bright_rate_of_a_trapped_pair_is_half_kappa(design_net):
+    # two guides coupled at C, trapped on the second: the eigenvalues of
+    # H - i(kappa/2)|2><2| are -i kappa/4 +- sqrt(C^2 - kappa^2/16), so for
+    # C > kappa/4 both modes decay at kappa/2
+    kappa = analysis.effective_kappa(design_net)
+    pair = dataclasses.replace(design_net, n_sites=2, site_detunings=(),
+                               couplings=((0, 1, kappa),), input_site=0, target_site=1)
+    assert analysis.slowest_bright_rate(pair) == pytest.approx(kappa / 2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

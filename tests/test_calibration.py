@@ -32,7 +32,7 @@ def test_pair_transfer_domain():
 @given(c=st.floats(0.05, 5.0), delta=st.floats(-6.0, 6.0), z=st.floats(0.0, 30.0))
 @settings(max_examples=100, deadline=None)
 def test_pair_transfer_matches_propagator(c, delta, z):
-    h = HamiltonianMatrix(np.array([[0.0, c], [c, delta]]), 792.5, 2)
+    h = HamiltonianMatrix(np.array([[0.0, c], [c, delta]]), 2)
     trace = evolve_unitary(h, site_state(2, 0), [z])
     assert trace.populations[-1, 1] == pytest.approx(pair_transfer(c, delta, z),
                                                      abs=1e-10)

@@ -298,6 +298,19 @@ def test_failed_dark_mode_eigendecomposition_exits_3(tmp_path, monkeypatch, caps
     assert captured.out.count("[PASS]") == 2
 
 
+def test_failed_bright_rate_eigendecomposition_exits_3(tmp_path, monkeypatch, capsys):
+    # the slowest bright rate of the dark-state line, after the other
+    # checks of `check` have passed
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    assert main(["check", str(small_config(tmp_path))]) == 3
+    captured = capsys.readouterr()
+    assert "eigendecomposition failed" in captured.err
+    assert captured.out.count("[PASS]") == 2
+
+
 @pytest.mark.parametrize("command", ["sweep-wavelength", "sweep-bandwidth"])
 def test_non_finite_series_exits_3_without_csv(tmp_path, monkeypatch, capsys, command):
     # the wavelength propagator's Chebyshev weights turn non-finite
@@ -668,6 +681,33 @@ def test_check_quadrature_line_can_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] ensemble quadrature convergence: sink fraction moves 1.80e-03 " \
            "when nodes 3 -> 5" in out
+
+
+@pytest.mark.parametrize("z_cm, z_step_cm, zs", [
+    # simulate's grid stops at 15.0; the sweeps run at 15.06 itself
+    (15.06, 0.1, np.append(0.1 * np.arange(151), 15.06)),
+    (2000.0, 1.0, np.arange(2001.0)),
+], ids=["z-off-the-grid", "long-z"])
+def test_check_no_return_line_samples_the_runs_z(tmp_path, monkeypatch, capsys,
+                                                 z_cm, z_step_cm, zs):
+    grids, unitary_amplitudes = [], propagate._unitary_amplitudes
+
+    def spy(h, amps, z_grid, guides):
+        grids.append(np.array(z_grid))
+        return unitary_amplitudes(h, amps, z_grid, guides)
+
+    monkeypatch.setattr(propagate, "_unitary_amplitudes", spy)
+    raw = default_config_dict()
+    raw["experiment"].update(z_cm=z_cm, z_step_cm=z_step_cm)
+    p = tmp_path / "z.json"
+    p.write_text(json.dumps(raw))
+    main(["check", str(p)])
+    # the two runs of the no-return line; a long z also sends the quadrature
+    # line's wavelengths through the same propagator, one z each
+    runs = [grid for grid in grids if grid.size > 1]
+    assert len(runs) == 2
+    for grid in runs:
+        assert np.array_equal(grid, zs)
 
 
 def test_check_flags_short_sink(tmp_path, capsys):

@@ -28,13 +28,13 @@ ZS = np.arange(0.0, 15.0 + 1e-9, 0.1)
 # unitary engine
 
 def test_single_guide_is_phase_only():
-    h = HamiltonianMatrix(np.array([[3.7]]), LAMBDA0, 1)
+    h = HamiltonianMatrix(np.array([[3.7]]), 1)
     trace = evolve_unitary(h, site_state(1, 0), [10.0])
     assert trace.populations[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_guide_beat():
-    h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LAMBDA0, 2)
+    h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
     trace = evolve_unitary(h, site_state(2, 0), [math.pi / 4])
     assert trace.populations[-1] == pytest.approx([0.5, 0.5], abs=1e-12)
 
@@ -50,7 +50,7 @@ def test_dark_initial_state_is_stationary(h_system):
 def test_unitary_norm_conservation_random_h(seed):
     rng = np.random.default_rng(seed)
     m = rng.uniform(-2.0, 2.0, size=(12, 12))
-    h = HamiltonianMatrix((m + m.T) / 2, LAMBDA0, 12)
+    h = HamiltonianMatrix((m + m.T) / 2, 12)
     psi0 = rng.normal(size=12) + 1j * rng.normal(size=12)
     psi0 = psi0 / np.linalg.norm(psi0)
     trace = evolve_unitary(h, psi0, np.linspace(0.0, 100.0, 11))
@@ -94,7 +94,7 @@ def test_non_finite_initial_state_is_refused(h_system, design_kappa, run):
 # trapped engine
 
 def test_pure_decay_single_site():
-    h = HamiltonianMatrix(np.array([[0.0]]), LAMBDA0, 1)
+    h = HamiltonianMatrix(np.array([[0.0]]), 1)
     trace = evolve_trapped(h, 1.0, 0, site_state(1, 0), [3.0])
     assert trace.populations[-1, 0] == pytest.approx(math.exp(-3.0), rel=1e-10)
 
@@ -201,7 +201,7 @@ def test_lindblad_accepts_an_initial_density_within_rounding(h_system, design_ka
 def test_lindblad_pure_coherence_decay():
     # free, untrapped pair with an initial coherence: the damped element
     # decays at exactly the dephasing rate
-    h = HamiltonianMatrix(np.zeros((2, 2)), LAMBDA0, 2)
+    h = HamiltonianMatrix(np.zeros((2, 2)), 2)
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     trace = evolve_lindblad(h, 0.0, 0, 0.2, 1, rho0, [0.0, 5.0])
     assert trace.densities[-1][0, 1] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-7)
@@ -317,7 +317,7 @@ def test_non_finite_generator_in_a_stack_fails_before_any_step(bad, monkeypatch)
     # the bad run is the last one, in the second chunk of runs
     gens = np.stack([_unit_norm_generator(4, seed) for seed in range(70)])
     gens[-1, 1, 2] = bad
-    h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LAMBDA0, 2)
+    h = HamiltonianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
     # refused before any generator is scaled by a step: inf times a step is
     # a complex product with an inf times 0 in it, which numpy reports as invalid
     with pytest.raises(NumericalError, match="1-norm"):
@@ -488,7 +488,7 @@ def lindblad_problems(draw):
     density and a non-decreasing z grid."""
     d = draw(st.integers(2, 6))
     entries = st.lists(st.floats(-1.5, 1.5), min_size=d * d, max_size=d * d)
-    hams = [HamiltonianMatrix(np.triu(m) + np.triu(m, 1).T, LAMBDA0, d)
+    hams = [HamiltonianMatrix(np.triu(m) + np.triu(m, 1).T, d)
             for m in (np.reshape(draw(entries), (d, d))
                       for _ in range(draw(st.integers(1, 2))))]
     n_rates = draw(st.integers(1, 3))
@@ -757,7 +757,7 @@ def test_effective_rate_tracks_explicit_efficiency(design_kappa, h_system):
 
 
 def test_no_return_check_passes_default(design_net):
-    report = sink_no_return_check(design_net, 15.0, threshold=1e-3)
+    report = sink_no_return_check(design_net, ZS, threshold=1e-3)
     assert report.passed
     assert report.max_end_population < 1e-3
     assert report.max_system_shift < 1e-3
@@ -765,19 +765,20 @@ def test_no_return_check_passes_default(design_net):
 
 def test_no_return_check_flags_short_chain():
     net = design_network(sink=SinkSpec(n_sink=2))
-    report = sink_no_return_check(net, 15.0, threshold=1e-3)
+    report = sink_no_return_check(net, ZS, threshold=1e-3)
     assert not report.passed
 
 
 def test_no_return_check_trivial_at_zero_length(design_net):
-    report = sink_no_return_check(design_net, 0.0, threshold=1e-3)
+    report = sink_no_return_check(design_net, [0.0], threshold=1e-3)
     assert report.passed
     assert report.max_end_population < 1e-30  # eigenbasis round-trip residue
 
 
-@pytest.mark.parametrize("z_max, n", [(0.05, 2), (15.04, 152), (15.0, 151)])
-def test_no_return_check_reaches_z_max(design_net, z_max, n, monkeypatch):
-    # a z_max off the 0.1 cm grid is appended; one on it keeps the grid
+@pytest.mark.parametrize("zs", [[0.0, 0.05, 2.0, 15.04], np.arange(0.0, 15.5, 1.0), ZS],
+                         ids=["uneven", "coarse", "uniform"])
+def test_no_return_check_samples_exactly_its_grid(design_net, zs, monkeypatch):
+    # both runs sample the z they are given, no more and no fewer
     grids = []
 
     def spy(h, amps, zs, guides):
@@ -785,16 +786,15 @@ def test_no_return_check_reaches_z_max(design_net, z_max, n, monkeypatch):
         return _unitary_amplitudes(h, amps, zs, guides)
 
     monkeypatch.setattr(propagate, "_unitary_amplitudes", spy)
-    sink_no_return_check(design_net, z_max, threshold=1e-3)
+    sink_no_return_check(design_net, zs, threshold=1e-3)
     assert len(grids) == 2
-    for zs in grids:
-        assert zs.size == n and zs[-1] == z_max
-        assert np.array_equal(zs[:-1], 0.1 * np.arange(n - 1))
+    for grid in grids:
+        assert np.array_equal(grid, zs)
 
 
 def test_no_return_check_refuses_negative_z_max(design_net):
-    with pytest.raises(ValueError, match="z_max"):
-        sink_no_return_check(design_net, -0.1, threshold=1e-3)
+    with pytest.raises(ValueError, match="z must be finite and non-negative"):
+        sink_no_return_check(design_net, [0.0, -0.1], threshold=1e-3)
 
 
 _Z_ENTRY_POINTS = {
@@ -809,7 +809,8 @@ _Z_ENTRY_POINTS = {
     "coherent_efficiency": lambda net, z: decoherence.coherent_efficiency(net, [LAMBDA0], z),
     "enaqt_map": lambda net, z: analysis.enaqt_map(net, [0.0, z], [0.0, 0.01]),
     "sweep_bandwidth": lambda net, z: analysis.sweep_bandwidth(net, [0.0, 20.0], z),
-    "sink_no_return_check": lambda net, z: sink_no_return_check(net, z, threshold=1e-3),
+    "sink_no_return_check": lambda net, z: sink_no_return_check(net, [0.0, z],
+                                                                threshold=1e-3),
 }
 
 
@@ -824,7 +825,7 @@ def test_non_finite_z_is_refused(design_net, entry, z):
 
 def test_no_return_requires_explicit_sink(design_net_open):
     with pytest.raises(ValueError):
-        sink_no_return_check(design_net_open, 15.0, threshold=1e-3)
+        sink_no_return_check(design_net_open, ZS, threshold=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +1019,7 @@ def test_bessel_j_rescales_a_tiny_argument():
 # start states
 
 def test_amplitude_state_validation():
-    h = HamiltonianMatrix(np.zeros((3, 3)), LAMBDA0, 3)
+    h = HamiltonianMatrix(np.zeros((3, 3)), 3)
     with pytest.raises(ValueError, match="normalized"):
         evolve_unitary(h, np.array([1.0, 1.0, 0.0]), [1.0])
     with pytest.raises(ValueError, match="shape"):
@@ -1033,7 +1034,7 @@ def test_amplitude_state_validation():
 
 
 def test_density_state_validation():
-    h = HamiltonianMatrix(np.zeros((2, 2)), LAMBDA0, 2)
+    h = HamiltonianMatrix(np.zeros((2, 2)), 2)
     for rho0, message in [(np.array([[0.5, 0.9], [0.1, 0.5]]), "not Hermitian"),
                           (np.array([[1.5, 0.0], [0.0, 0.0]]), "unit trace"),
                           (np.eye(3) / 3.0, "shape")]:
